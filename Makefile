@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the gate: formatting, vet, build,
-# and the full test suite under the race detector (the experiment
-# harness and AnalyzeBatch run real worker pools, so -race is load-
-# bearing, not ceremony).
+# and the full test suite under the race detector (every Engine fan-out
+# runs on a real shared worker pool, so -race is load-bearing, not
+# ceremony).
 
 GO ?= go
 PROFILINT ?= /tmp/profilint-$(shell id -u)
@@ -45,9 +45,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The perf baseline: the suite-level and batch benchmarks plus the
-# cached cold/warm pair, the SimulateBatch pair and the campaign
-# cold-store/warm-resume pair, recorded into BENCH_results.json
+# The perf baseline: the suite-level and batch (Engine.AnalyzeNetworks)
+# benchmarks plus the cached cold/warm pair, the SimulateBatch pair and
+# the campaign cold-store/warm-resume pair, recorded into BENCH_results.json
 # (structured metrics + the verbatim benchstat-compatible text under
 # .raw; compare runs with
 # `jq -r .raw BENCH_results.json | benchstat old.txt /dev/stdin`).

@@ -114,7 +114,7 @@ func batchNets(t *testing.T, n int) []profirt.Network {
 
 func TestAnalyzeBatchMatchesIndividual(t *testing.T) {
 	nets := batchNets(t, 20)
-	got := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 4})
+	got := analyzeNetworks(t, newEngine(t, profirt.WithParallelism(4)), context.Background(), nets)
 	if len(got) != len(nets) {
 		t.Fatalf("results = %d, want %d", len(got), len(nets))
 	}
@@ -142,8 +142,8 @@ func TestAnalyzeBatchMatchesIndividual(t *testing.T) {
 
 func TestAnalyzeBatchDeterministicAcrossParallelism(t *testing.T) {
 	nets := batchNets(t, 30)
-	seq := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
-	par := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 8})
+	seq := analyzeNetworks(t, newEngine(t, profirt.WithParallelism(1)), context.Background(), nets)
+	par := analyzeNetworks(t, newEngine(t, profirt.WithParallelism(8)), context.Background(), nets)
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("sequential and 8-worker batches disagree")
 	}
@@ -153,7 +153,7 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 	nets := batchNets(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range profirt.AnalyzeBatch(nets, profirt.BatchOptions{Context: ctx}) {
+	for i, r := range analyzeNetworks(t, newEngine(t), ctx, nets) {
 		if !r.Skipped {
 			t.Errorf("net %d evaluated despite cancelled context", i)
 		}
@@ -164,7 +164,7 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 }
 
 func TestAnalyzeBatchEmpty(t *testing.T) {
-	if got := profirt.AnalyzeBatch(nil, profirt.BatchOptions{}); len(got) != 0 {
+	if got := analyzeNetworks(t, newEngine(t), context.Background(), nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -200,7 +200,7 @@ func TestFacadeTopology(t *testing.T) {
 	if !ana.Converged || !ana.Schedulable {
 		t.Fatalf("demo topology should be schedulable: %+v", ana)
 	}
-	sim, err := profirt.SimulateTopology(st, profirt.TopologySimOptions{})
+	sim, err := newEngine(t).SimulateTopology(context.Background(), st, profirt.TopologySimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func batchTopologies() []profirt.Topology {
 
 func TestAnalyzeTopologyBatchMatchesIndividual(t *testing.T) {
 	tops := batchTopologies()
-	got := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 4})
+	got := analyzeTopologies(t, newEngine(t, profirt.WithParallelism(4)), context.Background(), tops)
 	if len(got) != len(tops) {
 		t.Fatalf("results = %d, want %d", len(got), len(tops))
 	}
@@ -259,14 +259,14 @@ func TestAnalyzeTopologyBatchMatchesIndividual(t *testing.T) {
 
 func TestAnalyzeTopologyBatchDeterministicAndCancelable(t *testing.T) {
 	tops := batchTopologies()
-	seq := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 1})
-	par := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 8})
+	seq := analyzeTopologies(t, newEngine(t, profirt.WithParallelism(1)), context.Background(), tops)
+	par := analyzeTopologies(t, newEngine(t, profirt.WithParallelism(8)), context.Background(), tops)
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("sequential and 8-worker topology batches disagree")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Context: ctx}) {
+	for i, r := range analyzeTopologies(t, newEngine(t), ctx, tops) {
 		if !r.Skipped {
 			t.Errorf("topology %d evaluated despite cancelled context", i)
 		}

@@ -22,26 +22,40 @@ import (
 
 	"profirt"
 	"profirt/internal/ap"
-	"profirt/internal/experiments"
 	"profirt/internal/fdl"
+	"profirt/internal/pool"
 	"profirt/internal/profibus"
 	"profirt/internal/sched"
 	"profirt/internal/workload"
 )
 
+// benchEngine builds an Engine outside the timed loop; it is closed
+// when the benchmark ends.
+func benchEngine(b *testing.B, opts ...profirt.EngineOption) *profirt.Engine {
+	eng := profirt.NewEngine(opts...)
+	b.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// runQuickExperiments runs the named experiments (nil means all) at
+// quick size.
+func runQuickExperiments(b *testing.B, eng *profirt.Engine, ids []string) []profirt.ExperimentResult {
+	res, err := eng.RunExperiments(context.Background(), ids, profirt.ExperimentOptions{Quick: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // benchExperiment runs one experiment per iteration and logs its tables
 // once, so `go test -bench BenchmarkE7 -v` regenerates the E7 table.
 func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	cfg := experiments.QuickConfig()
+	eng := benchEngine(b)
 	for i := 0; i < b.N; i++ {
-		tables := e.Run(cfg)
+		res := runQuickExperiments(b, eng, []string{id})
 		if i == 0 {
 			var sb strings.Builder
-			for _, t := range tables {
+			for _, t := range res[0].Tables {
 				sb.WriteString("\n")
 				sb.WriteString(t.String())
 			}
@@ -69,13 +83,10 @@ func BenchmarkE13Holistic(b *testing.B)                  { benchExperiment(b, "E
 // Parallel variants to see the multi-core speedup of the cell-job
 // harness; the produced tables are byte-identical in both.
 func benchAllExperiments(b *testing.B, parallelism int) {
-	cfg := experiments.QuickConfig()
-	cfg.Parallelism = parallelism
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			e.Run(cfg)
-		}
+		runQuickExperiments(b, eng, nil)
 	}
 }
 
@@ -85,7 +96,8 @@ func BenchmarkAllExperimentsParallel(b *testing.B) {
 }
 
 // benchBatchNets draws the network population for the AnalyzeBatch
-// benchmarks.
+// benchmarks (Engine.AnalyzeNetworks; the names predate the Engine and
+// are kept so results line up with BENCH_results.json).
 func benchBatchNets(n int) []profirt.Network {
 	rng := rand.New(rand.NewSource(11))
 	p := workload.DefaultStreamSetParams()
@@ -97,11 +109,19 @@ func benchBatchNets(n int) []profirt.Network {
 	return nets
 }
 
+// benchAnalyze runs one Engine.AnalyzeNetworks call.
+func benchAnalyze(b *testing.B, eng *profirt.Engine, nets []profirt.Network) {
+	if _, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func benchAnalyzeBatch(b *testing.B, parallelism int) {
 	nets := benchBatchNets(256)
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: parallelism})
+		benchAnalyze(b, eng, nets)
 	}
 }
 
@@ -111,7 +131,8 @@ func BenchmarkAnalyzeBatchParallel(b *testing.B)   { benchAnalyzeBatch(b, runtim
 // The cached-analysis pair measures the content-addressed memo table
 // on a repeated-network batch (every net appears twice). Cold builds a
 // fresh cache per iteration, so it pays the full fixed-point cost plus
-// hashing; Warm reuses a populated cache, so every DM/EDF analysis is
+// hashing (Reset empties the Engine's cache, the cost of building a
+// fresh one); Warm reuses a populated cache, so every DM/EDF analysis is
 // a lookup. Their ratio is the headline speedup tracked in
 // BENCH_results.json (the acceptance bar is ≥ 2x; see also
 // TestCachedWarmSpeedup, which asserts it functionally).
@@ -122,21 +143,21 @@ func benchCachedNets() []profirt.Network {
 
 func BenchmarkAnalyzeCachedCold(b *testing.B) {
 	nets := benchCachedNets()
+	eng := benchEngine(b, profirt.WithParallelism(1), profirt.WithCache(profirt.NewAnalysisCache(0)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{
-			Parallelism: 1, Cache: profirt.NewAnalysisCache(0),
-		})
+		eng.Cache().Reset()
+		benchAnalyze(b, eng, nets)
 	}
 }
 
 func BenchmarkAnalyzeCachedWarm(b *testing.B) {
 	nets := benchCachedNets()
-	cache := profirt.NewAnalysisCache(0)
-	profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: cache})
+	eng := benchEngine(b, profirt.WithParallelism(1), profirt.WithCache(profirt.NewAnalysisCache(0)))
+	benchAnalyze(b, eng, nets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: cache})
+		benchAnalyze(b, eng, nets)
 	}
 }
 
@@ -174,17 +195,11 @@ func BenchmarkEngineObsOff(b *testing.B) { benchEngineObs(b, false) }
 // One warm-up pass populates the cache before the timer starts so the
 // measurement is a steady-state warm number independent of b.N.
 func BenchmarkAllExperimentsCached(b *testing.B) {
-	cfg := experiments.QuickConfig()
-	cfg.Parallelism = runtime.GOMAXPROCS(0)
-	cfg.Cache = profirt.NewAnalysisCache(0)
-	for _, e := range experiments.All() {
-		e.Run(cfg)
-	}
+	eng := benchEngine(b, profirt.WithCache(profirt.NewAnalysisCache(0)))
+	runQuickExperiments(b, eng, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			e.Run(cfg)
-		}
+		runQuickExperiments(b, eng, nil)
 	}
 }
 
@@ -209,9 +224,13 @@ func benchSimConfigs(n int) []profirt.SimConfig {
 
 func benchSimulateBatch(b *testing.B, parallelism int) {
 	cfgs := benchSimConfigs(32)
+	eng := benchEngine(b, profirt.WithParallelism(parallelism))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: parallelism, Seed: 5})
+		out, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range out {
 			if r.Err != nil || r.Skipped {
 				b.Fatalf("run %d: err=%v skip=%v", r.Index, r.Err, r.Skipped)
@@ -250,8 +269,9 @@ func BenchmarkCampaignColdStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		eng := profirt.NewEngine(profirt.WithStore(store))
 		b.StartTimer()
-		res, err := c.Run(profirt.CampaignRunOptions{Store: store})
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,6 +279,7 @@ func BenchmarkCampaignColdStore(b *testing.B) {
 		if res.Executed != res.Jobs {
 			b.Fatalf("cold run executed %d of %d", res.Executed, res.Jobs)
 		}
+		eng.Close()
 		store.Close()
 		b.StartTimer()
 	}
@@ -274,12 +295,13 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := c.Run(profirt.CampaignRunOptions{Store: store}); err != nil {
+	eng := benchEngine(b, profirt.WithStore(store))
+	if _, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Run(profirt.CampaignRunOptions{Store: store})
+		res, err := eng.RunCampaign(context.Background(), c, profirt.CampaignOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,8 +318,9 @@ func BenchmarkCampaignWarmResume(b *testing.B) {
 // them through ONE Engine — one bounded pool, round-robin admission —
 // so the process runs at most the pool width in workers no matter how
 // many callers pile on. The Legacy variant reproduces the pre-Engine
-// behaviour: every call spins its own full-width pool, so M callers
-// oversubscribe the machine M-fold. The pool width is pinned (not
+// behaviour: every call spins its own full-width pool (a private
+// pool.Shared, built and closed per call), so M callers oversubscribe
+// the machine M-fold. The pool width is pinned (not
 // GOMAXPROCS) so the contrast is visible on any host, including
 // single-core CI runners; the peak-goroutines metric records it in
 // BENCH_results.json: ~width + M submitters for Shared versus
@@ -345,10 +368,9 @@ func benchEngineConcurrentCallers(b *testing.B, shared bool) {
 						return
 					}
 				} else {
-					// The internal batch runner with no shared pool: a
-					// per-call width-sized worker set, exactly the
-					// pre-Engine SimulateBatch.
-					out = profibus.SimulateBatch(cfgs, profibus.BatchOptions{Seed: 5, Parallelism: width})
+					p := pool.NewShared(width)
+					out = profibus.SimulateBatch(cfgs, profibus.BatchOptions{Pool: p, Seed: 5})
+					p.Close()
 				}
 				for _, r := range out {
 					if r.Err != nil || r.Skipped {

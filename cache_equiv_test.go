@@ -1,6 +1,7 @@
 package profirt_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -46,15 +47,17 @@ func equivNets(seed int64, distinct, copies int) []profirt.Network {
 	return nets
 }
 
-// TestCacheEquivalenceAnalyzeBatch is the core property: AnalyzeBatch
-// with caching disabled and with one shared cache hammered by
-// concurrent callers must agree result-for-result. Run under -race
-// (make ci) this doubles as the data-race gate for the shared table.
+// TestCacheEquivalenceAnalyzeBatch is the core property: the
+// uncached sequential reference and Engine.AnalyzeNetworks over one
+// shared cache hammered by concurrent callers must agree
+// result-for-result. Run under -race (make ci) this doubles as the
+// data-race gate for the shared table.
 func TestCacheEquivalenceAnalyzeBatch(t *testing.T) {
 	nets := equivNets(17, 48, 3)
-	want := profirt.AnalyzeBatch(nets, profirt.BatchOptions{})
+	want := refAnalyzeNetworks(nets)
 
 	shared := profirt.NewAnalysisCache(0)
+	eng := newEngine(t, profirt.WithParallelism(2), profirt.WithCache(shared))
 	const callers = 4
 	got := make([][]profirt.BatchResult, callers)
 	var wg sync.WaitGroup
@@ -63,10 +66,10 @@ func TestCacheEquivalenceAnalyzeBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w] = profirt.AnalyzeBatch(nets, profirt.BatchOptions{
-				Cache:       shared,
-				Parallelism: 2,
-			})
+			var err error
+			if got[w], err = eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -125,9 +128,9 @@ func equivTopology(rng *rand.Rand) profirt.Topology {
 }
 
 // TestCacheEquivalenceTopologyBatch extends the property across the
-// cross-segment jitter fixed point: cached and uncached
-// AnalyzeTopologyBatch must agree on every verdict and end-to-end
-// bound, with the cache visibly consulted (the fixed point re-analyzes
+// cross-segment jitter fixed point: a cached Engine.AnalyzeTopologies
+// and the uncached sequential reference must agree on every verdict
+// and end-to-end bound, with the cache visibly consulted (the fixed point re-analyzes
 // unchanged segments every iteration, so even one topology hits).
 func TestCacheEquivalenceTopologyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -138,19 +141,11 @@ func TestCacheEquivalenceTopologyBatch(t *testing.T) {
 	tops = append(tops, tops[:6]...) // repeats guarantee cross-entry hits
 	tops = append(tops, tops[:6]...)
 
-	want := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{})
+	want := refAnalyzeTopologies(tops)
 	cache := profirt.NewAnalysisCache(0)
-	got := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Cache: cache, Parallelism: 4})
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			if fmt.Sprint(want[i].Err) != fmt.Sprint(got[i].Err) {
-				t.Fatalf("topology %d: error mismatch: %v vs %v", i, got[i].Err, want[i].Err)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("topology %d: cached analysis diverged:\ncached:   %+v\nuncached: %+v", i, got[i], want[i])
-		}
+	eng := newEngine(t, profirt.WithParallelism(4), profirt.WithCache(cache))
+	if err := sameTopologyResults(analyzeTopologies(t, eng, context.Background(), tops), want); err != nil {
+		t.Fatalf("cached analysis diverged from uncached: %v", err)
 	}
 	if s := cache.Stats(); s.Hits == 0 {
 		t.Errorf("no cache hits across the topology batch (stats %+v)", s)
@@ -243,8 +238,9 @@ func TestCachedWarmSpeedup(t *testing.T) {
 	}
 	nets = append(nets, nets...)
 	run := func(c *profirt.AnalysisCache) time.Duration {
+		eng := newEngine(t, profirt.WithParallelism(1), profirt.WithCache(c), profirt.WithObservability(false))
 		start := time.Now()
-		profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1, Cache: c})
+		analyzeNetworks(t, eng, context.Background(), nets)
 		return time.Since(start)
 	}
 	warmCache := profirt.NewAnalysisCache(0)

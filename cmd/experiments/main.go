@@ -68,9 +68,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// deterministic grid order) are still being built. Quick runs
 		// stay silent — the golden test pins their stdout AND stderr
 		// byte-for-byte.
+		// Both sinks run concurrently on pool workers and share
+		// stderr, so they write through one lock.
+		errw := &lockedWriter{w: stderr}
 		engOpts = append(engOpts,
-			profirt.WithProgress(progressSink(stderr)),
-			profirt.WithRowSink(rowSink(stderr)))
+			profirt.WithProgress(progressSink(errw)),
+			profirt.WithRowSink(rowSink(errw)))
 	}
 	eng := profirt.NewEngine(engOpts...)
 	defer eng.Close()
@@ -143,13 +146,23 @@ func progressSink(w io.Writer) func(profirt.EngineEvent) {
 // rowSink streams each finished table row to w the moment the
 // experiment harness releases it (rows arrive in grid order, while
 // later cells are still running). Events for one table are already
-// serialised by the row streamer; the mutex only interleaves lines of
-// concurrently assembling tables cleanly.
+// serialised by the row streamer; w must be safe for concurrent use so
+// lines of concurrently assembling tables interleave cleanly.
 func rowSink(w io.Writer) func(profirt.TableRowEvent) {
-	var mu sync.Mutex
 	return func(ev profirt.TableRowEvent) {
-		mu.Lock()
 		fmt.Fprintf(w, "%s row %d/%d: %s\n", ev.Table.Title, ev.Index+1, ev.Total, strings.Join(ev.Cells, "  "))
-		mu.Unlock()
 	}
+}
+
+// lockedWriter serialises Write calls to w; each Fprintf is one Write,
+// so whole lines never interleave.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -18,20 +18,20 @@
 //     time analyses with release jitter;
 //   - workload generators and the experiment harness that validates
 //     every analysis against simulation (see EXPERIMENTS.md). The
-//     harness evaluates independent grid cells on a bounded worker
-//     pool (experiments.Config.Parallelism, default GOMAXPROCS) with
-//     per-cell deterministic RNG seeding; high-trial cells further
-//     split into per-trial sub-jobs with per-trial derived seeds
-//     (cellSeed ⊕ FNV(trial)), so tables are byte-identical at any
-//     parallelism; AnalyzeBatch offers the same concurrent,
-//     cancellable evaluation for the message-level analyses;
+//     harness evaluates independent grid cells on the Engine's bounded
+//     worker pool with per-cell deterministic RNG seeding; high-trial
+//     cells further split into per-trial sub-jobs with per-trial
+//     derived seeds (cellSeed ⊕ FNV(trial)), so tables are
+//     byte-identical at any parallelism; Engine.AnalyzeNetworks offers
+//     the same concurrent, cancellable evaluation for the
+//     message-level analyses;
 //   - content-addressed analysis memoization: an AnalysisCache maps a
 //     canonical, order-insensitive hash of (normalized stream
 //     multiset, T_cycle, analysis kind, options) to the computed
 //     DM/EDF bounds, so repeated fixed points across batch entries,
 //     topology iterations, holistic rounds and experiment sweeps are
-//     solved once. Opt in via BatchOptions.Cache,
-//     TopologyOptions.Cache or HolisticConfig.Cache; results are
+//     solved once. Opt in via WithCache, TopologyOptions.Cache or
+//     HolisticConfig.Cache; results are
 //     byte-identical with or without a cache (property-tested), the
 //     table is sharded and safe to share between concurrent callers,
 //     and memory is bounded with random-replacement eviction. An
@@ -39,16 +39,17 @@
 //     the cache off after a configurable number of lookups below a
 //     hit-rate threshold, so all-distinct batches stop paying for key
 //     hashing entirely;
-//   - batch simulation: SimulateBatch fans many independent network
-//     simulations across the shared bounded worker pool with per-run
-//     seeds Seed ⊕ FNV-1a(index), so a batch is a pure function of
-//     (configs, base seed) — byte-identical at any Parallelism — with
-//     context cancellation and per-run completion callbacks;
+//   - batch simulation: Engine.SimulateBatch fans many independent
+//     network simulations across the shared bounded worker pool with
+//     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
+//     function of (configs, base seed) — byte-identical at any
+//     parallelism — with context cancellation and per-run completion
+//     callbacks;
 //   - durable sweep campaigns: a JSON manifest describing a grid of
 //     networks × deadline scales × dispatching policies × trials
 //     compiles (internal/campaign) into content-addressed jobs — each
 //     key the SHA-256 of its fully resolved simulator configuration —
-//     executed via SimulateBatch and written through a ResultStore,
+//     executed by Engine.RunCampaign and written through a ResultStore,
 //     an append-only, integrity-hashed JSONL file. A killed campaign
 //     resumes from its completed jobs, a repeated campaign against the
 //     same store is warm-started, and in both cases the assembled
@@ -64,11 +65,12 @@
 //     model applied across rings), so the target's jitter-inclusive
 //     bound is an origin-anchored end-to-end bound. AnalyzeTopology
 //     solves that composition as a fixed point over the (validated
-//     acyclic) relay graph; SimulateTopology shards the simulator per
-//     segment on the shared worker pool, exchanging relayed releases
-//     at bridge points between rounds, with per-segment derived seeds
-//     so results are byte-identical at any parallelism;
-//     AnalyzeTopologyBatch sweeps whole topologies concurrently.
+//     acyclic) relay graph; Engine.SimulateTopology shards the
+//     simulator per segment on the shared worker pool, exchanging
+//     relayed releases at bridge points between rounds, with
+//     per-segment derived seeds so results are byte-identical at any
+//     parallelism; Engine.AnalyzeTopologies sweeps whole topologies
+//     concurrently.
 //
 // Bridge semantics: a bridge watches one high-priority stream on its
 // source ring; every successfully completed cycle of that stream
@@ -96,29 +98,30 @@
 // owning a single bounded worker pool that every workload shares:
 // N concurrent callers are admitted round-robin at job granularity
 // onto one worker set instead of each spinning GOMAXPROCS private
-// goroutines. Every method is context-first and byte-identical to the
-// legacy free function it supersedes, at any parallelism:
+// goroutines. Every method is context-first and byte-identical at any
+// parallelism. The Engine is the only way work fans out; the earlier
+// free functions and their options structs are gone:
 //
-//	legacy entry point               Engine method
+//	removed                          use
 //	------------------------------   ------------------------------------
 //	AnalyzeBatch(nets, opts)         Engine.AnalyzeNetworks(ctx, nets, AnalyzeOptions)
 //	AnalyzeTopologyBatch(tops, o)    Engine.AnalyzeTopologies(ctx, tops, TopologyAnalyzeOptions)
-//	AnalyzeHolistic(cfg)             Engine.AnalyzeHolistic(ctx, cfg)
-//	AnalyzeTopology(top, opts)       Engine.AnalyzeTopologies(ctx, []Topology{top}, ...)
-//	Simulate(cfg)                    Engine.Simulate(ctx, cfg)
+//	BatchOptions                     AnalyzeOptions / TopologyAnalyzeOptions + WithCache
 //	SimulateBatch(cfgs, opts)        Engine.SimulateBatch(ctx, cfgs, SimulateOptions)
+//	SimBatchOptions                  SimulateOptions
 //	SimulateTopology(t, opts)        Engine.SimulateTopology(ctx, t, TopologySimulateOptions)
-//	Campaign.Run(opts)               Engine.RunCampaign(ctx, c, CampaignOptions)
-//	experiments (cmd only)           Engine.RunExperiments(ctx, ids, ExperimentOptions)
+//	TopologySimOptions               TopologySimulateOptions
+//	Campaign.Run(CampaignRunOptions) Engine.RunCampaign(ctx, c, CampaignOptions)
+//	Default()                        NewEngine(...) with explicit options
 //
 // The per-call knobs that used to ride on every options struct
-// (Parallelism, Context, Cache, Store, RowSink, Progress) moved to the
+// (Parallelism, Context, Cache, Store, RowSink, Progress) live on the
 // Engine — configured once, shared by every call — while the options
 // structs keep only what genuinely varies per call (DM/EDF tunables,
-// seeds, iteration caps). The legacy free functions remain and
-// delegate to a lazily built package-default Engine (see Default), so
-// existing code keeps compiling and even legacy callers now share one
-// bounded pool.
+// seeds, iteration caps). The single-computation functions Simulate,
+// AnalyzeTopology and AnalyzeHolistic never touch a pool and stay as
+// plain functions next to their Engine.Simulate and
+// Engine.AnalyzeHolistic counterparts.
 //
 // The Engine has a defined lifecycle. Close drains: new calls are
 // rejected with ErrEngineClosed, in-flight calls run to completion,

@@ -32,17 +32,16 @@ import (
 //
 // Construct with NewEngine and the With* functional options; the zero
 // value is not usable. An Engine is safe for concurrent use — that is
-// its purpose. All results are byte-identical to the legacy free
-// functions (and to each other) at any parallelism: determinism is owned
-// by per-job seed derivation and index-keyed result slots, never by
-// scheduling order.
+// its purpose. All results are byte-identical at any parallelism:
+// determinism is owned by per-job seed derivation and index-keyed
+// result slots, never by scheduling order.
 //
 // Callbacks installed with WithRowSink/WithProgress (and per-call
 // callbacks like SimulateOptions.OnResult) run on pool worker
 // goroutines: they must be cheap and concurrency-safe. Calling back
-// into the Engine from one is safe but defeats the sharing — the pool
-// detects re-entrant submissions and runs them on a private per-call
-// pool instead (see pool.Shared), since blocking a worker on work only
+// into the Engine from one is safe but does not fan out — the pool
+// detects the re-entrant submission and runs it inline on that worker,
+// sequentially (see pool.Shared), since blocking a worker on work only
 // workers can run would deadlock.
 type Engine struct {
 	pool     *pool.Shared
@@ -370,24 +369,6 @@ func (e *Engine) latencyStats() EngineLatencyStats {
 	return ls
 }
 
-// defaultEngine backs the legacy free functions (AnalyzeBatch,
-// AnalyzeTopologyBatch, SimulateBatch): they delegate to one lazily
-// built package-default Engine, so even legacy callers share a single
-// bounded pool instead of spinning per-call workers.
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the package-default Engine: GOMAXPROCS workers, no
-// cache, no store, built on first use and never closed. The legacy
-// free functions run on it; new code should construct its own Engine
-// and choose its resources explicitly.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // note emits one progress event when a progress callback is installed.
 func (e *Engine) note(op string, done *atomic.Int64, total int, restored bool) {
 	if e.progress != nil {
@@ -395,11 +376,13 @@ func (e *Engine) note(op string, done *atomic.Int64, total int, restored bool) {
 	}
 }
 
-// AnalyzeOptions tunes Engine.AnalyzeNetworks. Unlike the legacy
-// BatchOptions there is no MaxIterations field here: the network
-// analyses solve their fixed points to completion and the knob never
-// applied to them (it tunes the cross-segment jitter fixed point of
-// the topology analyses — see TopologyAnalyzeOptions).
+// AnalyzeOptions tunes Engine.AnalyzeNetworks. There is no
+// MaxIterations field here: the network analyses solve their fixed
+// points to completion (the knob tunes the cross-segment jitter fixed
+// point of the topology analyses — see TopologyAnalyzeOptions). A call
+// issued from inside an Engine callback (a row sink, a progress
+// callback, SimulateOptions.OnResult) runs inline on that callback's
+// worker, one network after another.
 type AnalyzeOptions struct {
 	// DM tunes the Eq. 16 analysis applied to every network.
 	DM DMMessageOptions
@@ -421,13 +404,6 @@ func (e *Engine) AnalyzeNetworks(ctx context.Context, nets []Network, opts Analy
 	defer e.end(obs.OpAnalyzeNetworks, start)
 	ctx, sp := obs.StartSpan(ctx, "engine.analyze_networks")
 	defer sp.End()
-	return e.analyzeNetworks(ctx, nets, opts.DM, opts.EDF, e.cache, 0), nil
-}
-
-// analyzeNetworks is the shared implementation behind AnalyzeNetworks
-// and the legacy AnalyzeBatch: explicit cache and per-call in-flight
-// limit so the legacy per-call knobs keep working.
-func (e *Engine) analyzeNetworks(ctx context.Context, nets []Network, dm DMMessageOptions, edf EDFMessageOptions, cache *AnalysisCache, limit int) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -439,18 +415,18 @@ func (e *Engine) analyzeNetworks(ctx context.Context, nets []Network, dm DMMessa
 		out[i] = BatchResult{Index: i, Skipped: true}
 	}
 	var done atomic.Int64
-	e.pool.RunJobs(ctx, limit, len(nets), func(jctx context.Context, i int) {
+	e.pool.RunJobs(ctx, 0, len(nets), func(jctx context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		r := BatchResult{Index: i}
 		r.FCFS.Schedulable, r.FCFS.Verdicts = core.FCFSSchedulable(nets[i])
-		r.DM.Schedulable, r.DM.Verdicts = memo.DMSchedulableCtx(jctx, cache, nets[i], dm)
-		r.EDF.Schedulable, r.EDF.Verdicts = memo.EDFSchedulableNetCtx(jctx, cache, nets[i], edf)
+		r.DM.Schedulable, r.DM.Verdicts = memo.DMSchedulableCtx(jctx, e.cache, nets[i], opts.DM)
+		r.EDF.Schedulable, r.EDF.Verdicts = memo.EDFSchedulableNetCtx(jctx, e.cache, nets[i], opts.EDF)
 		out[i] = r
 		e.note("analyze", &done, len(nets), false)
 	})
-	return out
+	return out, nil
 }
 
 // TopologyAnalyzeOptions tunes Engine.AnalyzeTopologies.
@@ -479,23 +455,16 @@ func (e *Engine) AnalyzeTopologies(ctx context.Context, tops []Topology, opts To
 	if opts.MaxIterations < 0 {
 		return nil, fmt.Errorf("profirt: AnalyzeTopologies: MaxIterations must be non-negative, got %d", opts.MaxIterations)
 	}
-	return e.analyzeTopologies(ctx, tops, topology.Options{
-		DM: opts.DM, EDF: opts.EDF, MaxIterations: opts.MaxIterations, Cache: e.cache,
-	}, 0), nil
-}
-
-// analyzeTopologies is the shared implementation behind
-// AnalyzeTopologies and the legacy AnalyzeTopologyBatch.
-func (e *Engine) analyzeTopologies(ctx context.Context, tops []Topology, topts topology.Options, limit int) []TopologyBatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	topts := topology.Options{DM: opts.DM, EDF: opts.EDF, MaxIterations: opts.MaxIterations, Cache: e.cache}
 	out := make([]TopologyBatchResult, len(tops))
 	for i := range out {
 		out[i] = TopologyBatchResult{Index: i, Skipped: true}
 	}
 	var done atomic.Int64
-	e.pool.RunContext(ctx, limit, len(tops), func(i int) {
+	e.pool.RunJobs(ctx, 0, len(tops), func(_ context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -504,7 +473,7 @@ func (e *Engine) analyzeTopologies(ctx context.Context, tops []Topology, topts t
 		out[i] = r
 		e.note("topology", &done, len(tops), false)
 	})
-	return out
+	return out, nil
 }
 
 // AnalyzeHolistic solves the coupled task/message/delivery fixed point
@@ -557,7 +526,9 @@ type SimulateOptions struct {
 	// derived one.
 	ConfigSeeds bool
 	// OnResult receives each run's result the moment its simulation
-	// completes, concurrently from worker goroutines.
+	// completes, concurrently from worker goroutines. Calling back into
+	// the Engine from it is safe; the nested call runs inline on that
+	// worker.
 	OnResult func(SimBatchResult)
 }
 

@@ -12,7 +12,7 @@ import (
 
 // These tests pin the Engine lifecycle contract the serving layer
 // depends on: Close drains in-flight calls instead of yanking the pool
-// from under them (the old behaviour panicked inside pool.RunContext),
+// from under them (the pool panics on a submission after its Close),
 // late submissions get ErrEngineClosed, and double-Close is a no-op.
 // Run under -race (make ci) this file is the data-race gate for
 // submit-during-Close.
@@ -84,8 +84,8 @@ func TestEngineDoubleCloseIdempotent(t *testing.T) {
 func TestEngineSubmitDuringClose(t *testing.T) {
 	nets := equivNets(163, 12, 2)
 	cfgs := equivSimConfigs(167, 6)
-	wantNets := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
-	wantSims := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: 1, Seed: 11})
+	wantNets := refAnalyzeNetworks(nets)
+	wantSims := refSimulateBatch(cfgs, 11)
 
 	for round := 0; round < 8; round++ {
 		eng := profirt.NewEngine(profirt.WithParallelism(2))

@@ -1,9 +1,11 @@
 package profirt_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,15 +13,18 @@ import (
 	"testing"
 
 	"profirt"
-	"profirt/internal/experiments"
+	"profirt/internal/core"
+	"profirt/internal/profibus"
+	"profirt/internal/topology"
 	"profirt/internal/workload"
 )
 
-// This file holds the property the Engine redesign rests on: every
-// Engine method must produce results byte-identical to the legacy free
-// functions — and to itself — at any parallelism. The Engine only
-// changes WHERE jobs run (one shared bounded pool with fair admission
-// instead of per-call worker sets), never WHAT they compute:
+// This file holds the property the Engine rests on: every Engine
+// method must produce results byte-identical to an independent
+// reference — plain sequential loops over the core, topology and
+// profibus calls, with no pool and no cache — and to itself at any
+// parallelism. The Engine only decides WHERE jobs run (one shared
+// bounded pool with fair admission), never WHAT they compute:
 // determinism is owned by per-job seed derivation and index-keyed
 // result slots. Run under -race (make ci) these tests double as the
 // data-race gate for the shared pool.
@@ -27,26 +32,104 @@ import (
 // enginePar is the parallelism ladder every equivalence property walks.
 func enginePar() []int { return []int{1, 2, runtime.GOMAXPROCS(0)} }
 
+// newEngine builds an Engine that is closed when the test ends.
+func newEngine(t testing.TB, opts ...profirt.EngineOption) *profirt.Engine {
+	eng := profirt.NewEngine(opts...)
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// refAnalyzeNetworks is the reference for Engine.AnalyzeNetworks: the
+// FCFS, DM and EDF network tests applied to each network in turn.
+func refAnalyzeNetworks(nets []profirt.Network) []profirt.BatchResult {
+	out := make([]profirt.BatchResult, len(nets))
+	for i, n := range nets {
+		r := profirt.BatchResult{Index: i}
+		r.FCFS.Schedulable, r.FCFS.Verdicts = core.FCFSSchedulable(n)
+		r.DM.Schedulable, r.DM.Verdicts = core.DMSchedulable(n, core.DMOptions{})
+		r.EDF.Schedulable, r.EDF.Verdicts = core.EDFSchedulableNet(n, core.EDFOptions{})
+		out[i] = r
+	}
+	return out
+}
+
+// refAnalyzeTopologies is the reference for Engine.AnalyzeTopologies:
+// topology.Analyze applied to each topology in turn.
+func refAnalyzeTopologies(tops []profirt.Topology) []profirt.TopologyBatchResult {
+	out := make([]profirt.TopologyBatchResult, len(tops))
+	for i, top := range tops {
+		r := profirt.TopologyBatchResult{Index: i}
+		r.Result, r.Err = topology.Analyze(top, topology.Options{})
+		out[i] = r
+	}
+	return out
+}
+
+// refSimulateBatch is the reference for Engine.SimulateBatch: each
+// config simulated in turn under the batch's derived seed.
+func refSimulateBatch(cfgs []profirt.SimConfig, seed int64) []profirt.SimBatchResult {
+	out := make([]profirt.SimBatchResult, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Seed = profibus.BatchSeed(seed, i)
+		r := profirt.SimBatchResult{Index: i}
+		r.Result, r.Err = profibus.Simulate(cfg)
+		out[i] = r
+	}
+	return out
+}
+
+// analyzeNetworks runs Engine.AnalyzeNetworks, failing the test on error.
+func analyzeNetworks(t testing.TB, eng *profirt.Engine, ctx context.Context, nets []profirt.Network) []profirt.BatchResult {
+	t.Helper()
+	out, err := eng.AnalyzeNetworks(ctx, nets, profirt.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// analyzeTopologies runs Engine.AnalyzeTopologies, failing the test on
+// error.
+func analyzeTopologies(t testing.TB, eng *profirt.Engine, ctx context.Context, tops []profirt.Topology) []profirt.TopologyBatchResult {
+	t.Helper()
+	out, err := eng.AnalyzeTopologies(ctx, tops, profirt.TopologyAnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameTopologyResults compares topology batch results, matching errors
+// by message (error values carry no identity worth comparing).
+func sameTopologyResults(got, want []profirt.TopologyBatchResult) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if fmt.Sprint(want[i].Err) != fmt.Sprint(got[i].Err) {
+			return fmt.Errorf("topology %d: error %v, want %v", i, got[i].Err, want[i].Err)
+		}
+		if want[i].Err == nil && !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Errorf("topology %d: result diverged:\ngot:  %+v\nwant: %+v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
 func TestEngineEquivalenceAnalyzeNetworks(t *testing.T) {
 	nets := equivNets(101, 40, 2)
-	want := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
+	want := refAnalyzeNetworks(nets)
 	for _, p := range enginePar() {
-		eng := profirt.NewEngine(profirt.WithParallelism(p))
-		got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{})
-		eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: Engine.AnalyzeNetworks diverged from legacy AnalyzeBatch", p)
+		eng := newEngine(t, profirt.WithParallelism(p))
+		if got := analyzeNetworks(t, eng, context.Background(), nets); !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: Engine.AnalyzeNetworks diverged from the sequential core loop", p)
 		}
 	}
 	// A cached Engine must agree too (cache equivalence is proved in
 	// cache_equiv_test.go; here we assert the Engine wires it through).
-	eng := profirt.NewEngine(profirt.WithCache(profirt.NewAnalysisCache(0)))
-	defer eng.Close()
-	if got, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached Engine.AnalyzeNetworks diverged (err=%v)", err)
+	eng := newEngine(t, profirt.WithCache(profirt.NewAnalysisCache(0)))
+	if got := analyzeNetworks(t, eng, context.Background(), nets); !reflect.DeepEqual(got, want) {
+		t.Fatal("cached Engine.AnalyzeNetworks diverged")
 	}
 	if eng.Cache().Stats().Misses == 0 {
 		t.Fatal("Engine cache never consulted")
@@ -60,21 +143,11 @@ func TestEngineEquivalenceAnalyzeTopologies(t *testing.T) {
 		tops = append(tops, equivTopology(rng))
 	}
 	tops = append(tops, tops[:6]...)
-	want := profirt.AnalyzeTopologyBatch(tops, profirt.BatchOptions{Parallelism: 1})
+	want := refAnalyzeTopologies(tops)
 	for _, p := range enginePar() {
-		eng := profirt.NewEngine(profirt.WithParallelism(p))
-		got, err := eng.AnalyzeTopologies(context.Background(), tops, profirt.TopologyAnalyzeOptions{})
-		eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if fmt.Sprint(want[i].Err) != fmt.Sprint(got[i].Err) {
-				t.Fatalf("parallelism %d: topology %d error mismatch", p, i)
-			}
-			if want[i].Err == nil && !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("parallelism %d: Engine.AnalyzeTopologies diverged on topology %d", p, i)
-			}
+		eng := newEngine(t, profirt.WithParallelism(p))
+		if err := sameTopologyResults(analyzeTopologies(t, eng, context.Background(), tops), want); err != nil {
+			t.Fatalf("parallelism %d: Engine.AnalyzeTopologies: %v", p, err)
 		}
 	}
 }
@@ -122,16 +195,15 @@ func equivSimConfigs(seed int64, n int) []profirt.SimConfig {
 
 func TestEngineEquivalenceSimulateBatch(t *testing.T) {
 	cfgs := equivSimConfigs(131, 12)
-	want := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: 1, Seed: 7})
+	want := refSimulateBatch(cfgs, 7)
 	for _, p := range enginePar() {
-		eng := profirt.NewEngine(profirt.WithParallelism(p))
+		eng := newEngine(t, profirt.WithParallelism(p))
 		got, err := eng.SimulateBatch(context.Background(), cfgs, profirt.SimulateOptions{Seed: 7})
-		eng.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: Engine.SimulateBatch diverged from legacy SimulateBatch", p)
+			t.Fatalf("parallelism %d: Engine.SimulateBatch diverged from the sequential Simulate loop", p)
 		}
 	}
 	// Single-run methods agree with the batch's per-run seed contract.
@@ -172,11 +244,11 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := c.Run(profirt.CampaignRunOptions{Parallelism: 1})
+	seq, err := newEngine(t, profirt.WithParallelism(1)).RunCampaign(context.Background(), c, profirt.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := legacy.Table.String()
+	want := seq.Table.String()
 	for _, p := range enginePar() {
 		store, err := profirt.OpenResultStore(
 			fmt.Sprintf("%s/c%d.jsonl", t.TempDir(), p), c.Hash[:])
@@ -190,7 +262,7 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := res.Table.String(); got != want {
-			t.Fatalf("parallelism %d: Engine.RunCampaign table diverged:\n--- engine ---\n%s--- legacy ---\n%s", p, got, want)
+			t.Fatalf("parallelism %d: Engine.RunCampaign table diverged:\n--- engine ---\n%s--- sequential ---\n%s", p, got, want)
 		}
 		if res.Executed != res.Jobs || res.Skipped != 0 {
 			t.Fatalf("parallelism %d: unexpected counts %+v", p, res)
@@ -210,13 +282,12 @@ func TestEngineEquivalenceRunCampaign(t *testing.T) {
 }
 
 func TestEngineEquivalenceRunExperiments(t *testing.T) {
-	// One representative message-level experiment, quick size; the
-	// direct driver (legacy path) is the reference.
+	// One representative message-level experiment, quick size; a
+	// parallelism-1 Engine is the reference.
 	want := experimentTables(t, "E7")
 	for _, p := range enginePar() {
-		eng := profirt.NewEngine(profirt.WithParallelism(p))
+		eng := newEngine(t, profirt.WithParallelism(p))
 		res, err := eng.RunExperiments(context.Background(), []string{"E7"}, profirt.ExperimentOptions{Quick: true})
-		eng.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +295,33 @@ func TestEngineEquivalenceRunExperiments(t *testing.T) {
 			t.Fatalf("parallelism %d: unexpected result set %+v", p, res)
 		}
 		if got := tableStrings(res[0].Tables); got != want {
-			t.Fatalf("parallelism %d: Engine.RunExperiments tables diverged:\n--- engine ---\n%s--- legacy ---\n%s", p, got, want)
+			t.Fatalf("parallelism %d: Engine.RunExperiments tables diverged:\n--- engine ---\n%s--- sequential ---\n%s", p, got, want)
 		}
 	}
-	eng := profirt.NewEngine(profirt.WithParallelism(1))
-	defer eng.Close()
+	// E12 at quick size is pinned byte-for-byte by the CLI golden; the
+	// Engine must reproduce it in the CLI's plain layout.
+	eng := newEngine(t)
+	res, err := eng.RunExperiments(context.Background(), []string{"E12"}, profirt.ExperimentOptions{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, er := range res {
+		fmt.Fprintf(&got, "## %s — %s (%s)\n\n", er.ID, er.Title, er.Anchor)
+		for _, tb := range er.Tables {
+			if err := profirt.RenderTable(&got, tb, "plain"); err != nil {
+				t.Fatal(err)
+			}
+			got.WriteString("\n")
+		}
+	}
+	golden, err := os.ReadFile("cmd/experiments/testdata/quick_e12_plain.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), golden) {
+		t.Fatalf("Engine E12 diverged from quick_e12_plain.golden:\n%s", got.String())
+	}
 	if _, err := eng.RunExperiments(context.Background(), []string{"E99"}, profirt.ExperimentOptions{Quick: true}); err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
@@ -241,11 +334,10 @@ func TestEngineEquivalenceRunExperiments(t *testing.T) {
 func TestEngineSharedUseUnderConcurrency(t *testing.T) {
 	nets := equivNets(139, 24, 2)
 	cfgs := equivSimConfigs(149, 8)
-	wantNets := profirt.AnalyzeBatch(nets, profirt.BatchOptions{Parallelism: 1})
-	wantSims := profirt.SimulateBatch(cfgs, profirt.SimBatchOptions{Parallelism: 1, Seed: 3})
+	wantNets := refAnalyzeNetworks(nets)
+	wantSims := refSimulateBatch(cfgs, 3)
 
-	eng := profirt.NewEngine(profirt.WithParallelism(4), profirt.WithCache(profirt.NewAnalysisCache(0)))
-	defer eng.Close()
+	eng := newEngine(t, profirt.WithParallelism(4), profirt.WithCache(profirt.NewAnalysisCache(0)))
 	const callers = 6
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -279,15 +371,15 @@ func TestEngineSharedUseUnderConcurrency(t *testing.T) {
 	}
 }
 
-// experimentTables runs one experiment via the direct (legacy) driver
-// at quick size and renders its tables.
+// experimentTables runs one experiment at quick size on a
+// parallelism-1 Engine and renders its tables.
 func experimentTables(t *testing.T, id string) string {
 	t.Helper()
-	ex, ok := experiments.ByID(id)
-	if !ok {
-		t.Fatalf("unknown experiment %s", id)
+	res, err := newEngine(t, profirt.WithParallelism(1)).RunExperiments(context.Background(), []string{id}, profirt.ExperimentOptions{Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tableStrings(ex.Run(experiments.QuickConfig()))
+	return tableStrings(res[0].Tables)
 }
 
 func tableStrings(tables []*profirt.Table) string {

@@ -10,6 +10,7 @@ import (
 
 	"profirt/internal/configfile"
 	"profirt/internal/memo"
+	"profirt/internal/pool"
 	"profirt/internal/stats"
 	"profirt/internal/timeunit"
 )
@@ -57,6 +58,15 @@ func mustCampaign(t *testing.T) *Campaign {
 	return c
 }
 
+// withPool sets opts.Pool to a fresh pool of the given width (0 means
+// GOMAXPROCS), closed when the test ends.
+func withPool(t *testing.T, width int, opts RunOptions) RunOptions {
+	p := pool.NewShared(width)
+	t.Cleanup(p.Close)
+	opts.Pool = p
+	return opts
+}
+
 func runTable(t *testing.T, c *Campaign, opts RunOptions) (string, RunResult) {
 	t.Helper()
 	res, err := c.Run(opts)
@@ -101,7 +111,7 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	c := mustCampaign(t)
 	var want string
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, res := runTable(t, c, RunOptions{Parallelism: par})
+		got, res := runTable(t, c, withPool(t, par, RunOptions{}))
 		if res.Executed != res.Jobs {
 			t.Fatalf("parallelism %d: executed %d of %d jobs", par, res.Executed, res.Jobs)
 		}
@@ -119,7 +129,7 @@ func TestRunParallelismDeterminism(t *testing.T) {
 // campaign against the same store executes nothing.
 func TestResumeByteIdentical(t *testing.T) {
 	c := mustCampaign(t)
-	uninterrupted, _ := runTable(t, c, RunOptions{Parallelism: 2})
+	uninterrupted, _ := runTable(t, c, withPool(t, 2, RunOptions{}))
 
 	dir := t.TempDir()
 	store, err := memo.OpenStore(filepath.Join(dir, "results.jsonl"), c.Hash[:])
@@ -133,7 +143,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		if round > len(c.Jobs()) {
 			t.Fatal("campaign never completes under repeated kills")
 		}
-		res, err := c.Run(RunOptions{Parallelism: 2, Store: store, StopAfter: 3})
+		res, err := c.Run(withPool(t, 2, RunOptions{Store: store, StopAfter: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +158,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		}
 	}
 	// Warm start: everything restored, nothing executed.
-	res, err := c.Run(RunOptions{Parallelism: 2, Store: store})
+	res, err := c.Run(withPool(t, 2, RunOptions{Store: store}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +178,14 @@ func TestResumeByteIdentical(t *testing.T) {
 // process restart takes — including a torn final line.
 func TestResumeAcrossProcesses(t *testing.T) {
 	c := mustCampaign(t)
-	uninterrupted, _ := runTable(t, c, RunOptions{})
+	uninterrupted, _ := runTable(t, c, withPool(t, 0, RunOptions{}))
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 
 	store, err := memo.OpenStore(path, c.Hash[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(RunOptions{Store: store, StopAfter: 5}); err != nil {
+	if _, err := c.Run(withPool(t, 0, RunOptions{Store: store, StopAfter: 5})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
@@ -198,7 +208,7 @@ func TestResumeAcrossProcesses(t *testing.T) {
 	if s := store2.Stats(); s.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1 (the torn line)", s.Dropped)
 	}
-	res, err := c.Run(RunOptions{Store: store2})
+	res, err := c.Run(withPool(t, 0, RunOptions{Store: store2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +257,13 @@ func TestRowStreamingOrder(t *testing.T) {
 	type ev struct{ index, total int }
 	var mu sync.Mutex
 	var events []ev
-	_, res := runTable(t, c, RunOptions{
-		Parallelism: runtime.GOMAXPROCS(0),
+	_, res := runTable(t, c, withPool(t, runtime.GOMAXPROCS(0), RunOptions{
 		RowSink: func(e stats.RowEvent) {
 			mu.Lock()
 			events = append(events, ev{e.Index, e.Total})
 			mu.Unlock()
 		},
-	})
+	}))
 	if res.Skipped != 0 {
 		t.Fatal("unexpected skips")
 	}
@@ -280,7 +289,7 @@ func TestStatus(t *testing.T) {
 	if rep.Done != 0 || rep.Jobs != len(c.Jobs()) || rep.RowsDone != 0 {
 		t.Fatalf("empty-store status = %+v", rep)
 	}
-	if _, err := c.Run(RunOptions{Store: store}); err != nil {
+	if _, err := c.Run(withPool(t, 0, RunOptions{Store: store})); err != nil {
 		t.Fatal(err)
 	}
 	rep = c.Status(store)
@@ -293,7 +302,7 @@ func TestCancelledContext(t *testing.T) {
 	c := mustCampaign(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := c.Run(RunOptions{Context: ctx})
+	res, err := c.Run(withPool(t, 0, RunOptions{Context: ctx}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,15 +4,30 @@ import (
 	"testing"
 )
 
+// recorder dispatches every event into a log of (Now, payload X) pairs.
+type recorder struct {
+	times []Ticks
+	xs    []int32
+}
+
+func newRecorder(e *Engine) *recorder {
+	r := &recorder{}
+	e.SetDispatch(func(p Payload) {
+		r.times = append(r.times, e.Now())
+		r.xs = append(r.xs, p.X)
+	})
+	return r
+}
+
 func TestEventOrdering(t *testing.T) {
 	var e Engine
-	var order []int
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(5, func() { order = append(order, 0) })
-	e.Schedule(10, func() { order = append(order, 2) }) // same time, later insertion
+	r := newRecorder(&e)
+	e.SchedulePayload(10, 0, Payload{X: 1})
+	e.SchedulePayload(5, 0, Payload{X: 0})
+	e.SchedulePayload(10, 0, Payload{X: 2}) // same time, later insertion
 	e.Run(100)
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("order = %v, want [0 1 2]", order)
+	if len(r.xs) != 3 || r.xs[0] != 0 || r.xs[1] != 1 || r.xs[2] != 2 {
+		t.Errorf("order = %v, want [0 1 2]", r.xs)
 	}
 	if e.Now() != 100 {
 		t.Errorf("Now = %v, want horizon 100", e.Now())
@@ -24,98 +39,58 @@ func TestEventOrdering(t *testing.T) {
 
 func TestSameInstantPriority(t *testing.T) {
 	var e Engine
-	var order []string
-	e.SchedulePrio(7, 2, func() { order = append(order, "low") })
-	e.SchedulePrio(7, 1, func() { order = append(order, "high") })
+	r := newRecorder(&e)
+	e.SchedulePayload(7, 2, Payload{X: 2})
+	e.SchedulePayload(7, 1, Payload{X: 1})
 	e.Run(10)
-	if order[0] != "high" || order[1] != "low" {
-		t.Errorf("priority order wrong: %v", order)
+	if len(r.xs) != 2 || r.xs[0] != 1 || r.xs[1] != 2 {
+		t.Errorf("priority order wrong: %v", r.xs)
 	}
 }
 
 func TestScheduleAfterAndNesting(t *testing.T) {
 	var e Engine
 	var fired []Ticks
-	e.Schedule(3, func() {
+	e.SetDispatch(func(p Payload) {
 		fired = append(fired, e.Now())
-		e.ScheduleAfter(4, func() { fired = append(fired, e.Now()) })
+		if p.Kind == 0 {
+			e.SchedulePayloadAfter(4, Payload{Kind: 1})
+		}
 	})
+	e.SchedulePayload(3, 0, Payload{})
 	e.Run(100)
 	if len(fired) != 2 || fired[0] != 3 || fired[1] != 7 {
 		t.Errorf("fired = %v, want [3 7]", fired)
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var e Engine
-	ran := false
-	ev := e.Schedule(5, func() { ran = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Error("Cancelled() should report true")
-	}
-	e.Run(10)
-	if ran {
-		t.Error("cancelled event must not fire")
-	}
-	if e.Processed != 0 {
-		t.Errorf("Processed = %d, want 0", e.Processed)
-	}
-}
-
 func TestHorizonExcludesBoundary(t *testing.T) {
 	var e Engine
-	ran := false
-	e.Schedule(10, func() { ran = true })
+	r := newRecorder(&e)
+	e.SchedulePayload(10, 0, Payload{})
 	e.Run(10)
-	if ran {
+	if len(r.xs) != 0 {
 		t.Error("event at the horizon must not fire")
 	}
 	// Resuming with a larger horizon fires it.
 	e.Run(11)
-	if !ran {
+	if len(r.xs) != 1 {
 		t.Error("resumed run must fire the deferred event")
-	}
-}
-
-func TestStop(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
-	e.Run(10)
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped)", count)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	// A further Run resumes.
-	e.Run(10)
-	if count != 2 {
-		t.Errorf("count after resume = %d, want 2", count)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(5, func() {
+	e.SetDispatch(func(Payload) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling into the past")
 			}
 		}()
-		e.Schedule(3, func() {})
+		e.SchedulePayload(3, 0, Payload{})
 	})
+	e.SchedulePayload(5, 0, Payload{})
 	e.Run(10)
-}
-
-func TestEventAt(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(42, func() {})
-	if ev.At() != 42 {
-		t.Errorf("At = %v, want 42", ev.At())
-	}
 }
 
 func TestPayloadDispatchOrdering(t *testing.T) {
@@ -137,41 +112,33 @@ func TestPayloadDispatchOrdering(t *testing.T) {
 	}
 }
 
-func TestPayloadAndClosureShareOrder(t *testing.T) {
-	var e Engine
-	var order []string
-	e.SetDispatch(func(p Payload) { order = append(order, "payload") })
-	e.Schedule(4, func() { order = append(order, "closure") })
-	e.SchedulePayload(4, 0, Payload{}) // same time, later insertion
-	e.Run(10)
-	if len(order) != 2 || order[0] != "closure" || order[1] != "payload" {
-		t.Errorf("order = %v, want [closure payload]", order)
+// scatter schedules 100 events at scattered instants and runs them,
+// returning the firing log.
+func scatter(e *Engine) []Ticks {
+	r := newRecorder(e)
+	for i := 0; i < 100; i++ {
+		e.SchedulePayload(Ticks((i*31)%97), 0, Payload{X: int32(i)})
 	}
+	e.Run(1000)
+	return r.times
 }
 
 func TestResetReuse(t *testing.T) {
-	run := func(e *Engine) []Ticks {
-		var log []Ticks
-		for i := 0; i < 100; i++ {
-			at := Ticks((i * 31) % 97)
-			e.Schedule(at, func() { log = append(log, e.Now()) })
-		}
-		e.Run(1000)
-		return log
-	}
 	var fresh Engine
-	want := run(&fresh)
+	want := scatter(&fresh)
 
 	var reused Engine
-	h := reused.Schedule(5, func() {})
-	h.Cancel()
-	run(&reused) // dirty the engine
+	scatter(&reused)                           // dirty the engine
+	reused.SchedulePayload(2000, 0, Payload{}) // left pending past the horizon
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Processed != 0 {
-		t.Fatalf("Reset left state: now=%d pending=%d processed=%d",
-			reused.Now(), reused.Pending(), reused.Processed)
+	if reused.Now() != 0 || reused.Processed != 0 {
+		t.Fatalf("Reset left state: now=%d processed=%d", reused.Now(), reused.Processed)
 	}
-	got := run(&reused)
+	if r := newRecorder(&reused); reused.Run(5000) != 5000 || len(r.times) != 0 {
+		t.Fatalf("events survived Reset: fired at %v", r.times)
+	}
+	reused.Reset()
+	got := scatter(&reused)
 	if len(got) != len(want) {
 		t.Fatalf("lengths %d/%d", len(got), len(want))
 	}
@@ -185,13 +152,12 @@ func TestResetReuse(t *testing.T) {
 func TestManyEventsDeterministic(t *testing.T) {
 	run := func() []Ticks {
 		var e Engine
-		var log []Ticks
+		r := newRecorder(&e)
 		for i := 0; i < 500; i++ {
-			at := Ticks((i * 7919) % 1000)
-			e.Schedule(at, func() { log = append(log, e.Now()) })
+			e.SchedulePayload(Ticks((i*7919)%1000), 0, Payload{X: int32(i)})
 		}
 		e.Run(1000)
-		return log
+		return r.times
 	}
 	a, b := run(), run()
 	if len(a) != 500 || len(b) != 500 {

@@ -10,8 +10,18 @@ import (
 
 	"profirt/internal/core"
 	"profirt/internal/memo"
+	"profirt/internal/pool"
 	"profirt/internal/stats"
 )
+
+// withPool sets cfg.Pool to a fresh pool of the given width (0 means
+// GOMAXPROCS), closed when the test ends.
+func withPool(t testing.TB, width int, cfg Config) Config {
+	p := pool.NewShared(width)
+	t.Cleanup(p.Close)
+	cfg.Pool = p
+	return cfg
+}
 
 // render renders every table an experiment produces into one string,
 // so byte-level comparison covers titles, notes, headers and rows.
@@ -37,10 +47,8 @@ func TestParallelismDeterminism(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			seq := QuickConfig()
-			seq.Parallelism = 1
-			par := QuickConfig()
-			par.Parallelism = 8
+			seq := withPool(t, 1, QuickConfig())
+			par := withPool(t, 8, QuickConfig())
 			got, want := render(e, par), render(e, seq)
 			if got != want {
 				t.Errorf("parallel tables differ from sequential:\n--- parallel ---\n%s--- sequential ---\n%s", got, want)
@@ -53,7 +61,7 @@ func TestParallelismDeterminism(t *testing.T) {
 // sharding: with per-trial sub-jobs forced on (TrialShardMin 1), the
 // tables of every trial-sharded driver — E1–E5 plus the E6/E7/E9/E10
 // message-level sweeps sharded in this PR — must be byte-identical at
-// Parallelism 1, 2 and GOMAXPROCS: every trial owns an RNG seeded
+// pool widths 1, 2 and GOMAXPROCS: every trial owns an RNG seeded
 // cellSeed ⊕ FNV(trial) and the reducers fold per-trial slots in trial
 // order, so scheduling cannot leak into any number.
 func TestTrialShardingDeterminism(t *testing.T) {
@@ -74,9 +82,7 @@ func TestTrialShardingDeterminism(t *testing.T) {
 			}
 			var want string
 			for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				c := cfg
-				c.Parallelism = par
-				got := render(e, c)
+				got := render(e, withPool(t, par, cfg))
 				if want == "" {
 					want = got
 				} else if got != want {
@@ -94,7 +100,7 @@ func TestTrialShardingDeterminism(t *testing.T) {
 func TestTrialShardingSeedsReachDraws(t *testing.T) {
 	const cells, trials = 3, 4
 	draws := func(min int) [][]int64 {
-		cfg := Config{Seed: 5, Trials: trials, TrialShardMin: min, Parallelism: 1}
+		cfg := withPool(t, 1, Config{Seed: 5, Trials: trials, TrialShardMin: min})
 		out := make([][]int64, cells)
 		for i := range out {
 			out[i] = make([]int64, trials)
@@ -152,8 +158,8 @@ func TestCachedExperimentsDeterminism(t *testing.T) {
 		}
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			plain := QuickConfig()
-			cached := QuickConfig()
+			plain := withPool(t, 0, QuickConfig())
+			cached := withPool(t, 0, QuickConfig())
 			cached.Cache = memo.New(0)
 			got, want := render(e, cached), render(e, plain)
 			if got != want {
@@ -178,13 +184,12 @@ func TestRowStreaming(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			plain := render(e, QuickConfig())
+			plain := render(e, withPool(t, 0, QuickConfig()))
 
 			var mu sync.Mutex
 			next := map[*stats.Table]int{}
 			streamed := map[*stats.Table][][]string{}
-			cfg := QuickConfig()
-			cfg.Parallelism = 8
+			cfg := withPool(t, 8, QuickConfig())
 			cfg.RowSink = func(ev stats.RowEvent) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -263,12 +268,12 @@ func TestSeedStability(t *testing.T) {
 	if !ok {
 		t.Fatal("E7 missing")
 	}
-	first := render(e, QuickConfig())
-	second := render(e, QuickConfig())
+	first := render(e, withPool(t, 0, QuickConfig()))
+	second := render(e, withPool(t, 0, QuickConfig()))
 	if first != second {
 		t.Errorf("equal seeds produced different tables:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
-	other := QuickConfig()
+	other := withPool(t, 0, QuickConfig())
 	other.Seed = 999
 	if render(e, other) == first {
 		t.Error("changing the seed did not change the E7 table; seed is not reaching the cells")
@@ -298,7 +303,7 @@ func TestCellSeedDistinct(t *testing.T) {
 func TestForEachCellCoversAllCells(t *testing.T) {
 	const n = 100
 	draws := func(parallelism int) []int64 {
-		cfg := Config{Seed: 7, Parallelism: parallelism}
+		cfg := withPool(t, parallelism, Config{Seed: 7})
 		out := make([]int64, n)
 		visits := make([]int32, n)
 		forEachCell(cfg, "test", n, func(cell int, rng *rand.Rand) {
@@ -327,7 +332,7 @@ func TestForEachCellCoversAllCells(t *testing.T) {
 // analyses latches the cache off — with results identical to the
 // uncached analyses before, at and after the trip.
 func TestCacheArmedOnExperimentsPath(t *testing.T) {
-	cfg := Config{Seed: 3, Parallelism: 2, Cache: memo.New(0)}
+	cfg := withPool(t, 2, Config{Seed: 3, Cache: memo.New(0)})
 	const cells = 64
 	bad := make([]int32, cells)
 	forEachCell(cfg, "arm-test", cells, func(cell int, rng *rand.Rand) {

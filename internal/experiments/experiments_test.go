@@ -47,7 +47,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
 	}
-	cfg := QuickConfig()
+	cfg := withPool(t, 0, QuickConfig())
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -114,7 +114,7 @@ func TestHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cfg := QuickConfig()
+	cfg := withPool(t, 0, QuickConfig())
 	cfg.Trials = 10
 	tables := E11PolicyComparison(cfg)
 	tb := tables[0]

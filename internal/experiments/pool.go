@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
-
-	"profirt/internal/pool"
 )
 
 // The experiment drivers are embarrassingly parallel across grid cells
@@ -21,7 +20,7 @@ import (
 // so a cell's random stream depends only on (Seed, experiment, cell) —
 // never on scheduling order — and the drivers write results into
 // per-cell slots that are reassembled in index order afterwards.
-// Tables are therefore byte-identical for any Parallelism value.
+// Tables are therefore byte-identical at any pool width.
 
 // cellSeed derives the deterministic RNG seed for one grid cell.
 func cellSeed(seed int64, experimentID string, cell int) int64 {
@@ -62,22 +61,19 @@ func runJobs(cfg Config, experimentID string, n int, fn func(i int)) {
 	// engine cache keeps serving hot submitters after a cold one.
 	cfg.Cache.ArmAutoDisable(cacheAutoDisableLookups, cacheAutoDisableHitRate)
 	prog := cfg.Progress
-	if prog == nil {
-		pool.Do(cfg.Context, cfg.Pool, cfg.Parallelism, n, fn)
-		return
-	}
 	var done atomic.Int64
-	pool.Do(cfg.Context, cfg.Pool, cfg.Parallelism, n, func(i int) {
+	cfg.Pool.RunJobs(cfg.Context, 0, n, func(_ context.Context, i int) {
 		fn(i)
-		prog(ProgressEvent{Experiment: experimentID, Done: int(done.Add(1)), Total: n})
+		if prog != nil {
+			prog(ProgressEvent{Experiment: experimentID, Done: int(done.Add(1)), Total: n})
+		}
 	})
 }
 
-// forEachCell evaluates fn(cell, rng) for every cell in [0, n) on a
-// bounded worker pool of cfg.Parallelism goroutines (0 meaning
-// GOMAXPROCS, per pool.Run) and blocks until all cells are done. Each
-// invocation receives a fresh RNG from cellRNG, so fn must take all
-// randomness from the rng argument. fn runs concurrently with other
+// forEachCell evaluates fn(cell, rng) for every cell in [0, n) on
+// cfg.Pool and blocks until all cells are done. Each invocation
+// receives a fresh RNG from cellRNG, so fn must take all randomness
+// from the rng argument. fn runs concurrently with other
 // cells: it must only write to state owned by its cell (typically a
 // preallocated per-cell result slot).
 func forEachCell(cfg Config, experimentID string, n int, fn func(cell int, rng *rand.Rand)) {
@@ -131,7 +127,7 @@ func trialSeed(seed int64, experimentID string, cell, trial int) int64 {
 // sequence of the historical per-cell loop. In both modes fn must
 // write only to state owned by its (cell, trial) slot; aggregation
 // over trials happens after this returns, in trial order, so tables
-// are byte-identical at any Parallelism.
+// are byte-identical at any pool width.
 // forEachCellTrialReduced is forEachCellTrial plus per-cell completion:
 // reduce(cell) runs exactly once per cell, on whichever worker finishes
 // the cell's last trial, the moment that trial completes. By then every

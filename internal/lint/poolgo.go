@@ -34,7 +34,7 @@ func runPoolGo(pass *analysis.Pass) (interface{}, error) {
 			return
 		}
 		pass.Reportf(n.Pos(), "%s", invariantf("poolgo",
-			poolgoInvariant, "raw go statement outside internal/pool; submit the work through pool.Shared / pool.Do instead"))
+			poolgoInvariant, "raw go statement outside internal/pool; submit the work through pool.Shared instead"))
 	})
 	return nil, nil
 }

@@ -10,7 +10,7 @@ import (
 // This file holds the cache-aware mirrors of the core message
 // analyses. Every function takes the cache first and accepts nil for
 // "caching disabled", in which case it is a plain delegation to core —
-// the higher layers (api.AnalyzeBatch, topology.Analyze,
+// the higher layers (Engine.AnalyzeNetworks, topology.Analyze,
 // holistic.Analyze, the experiment drivers) call these mirrors
 // unconditionally and let the cache pointer decide. A cache whose
 // hit-rate auto-disable latch has tripped (Cache.SetAutoDisable) is

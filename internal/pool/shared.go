@@ -1,3 +1,10 @@
+// Package pool provides the bounded index fan-out every parallel layer
+// runs on: n independent jobs identified by index, executed by a Shared
+// pool — a fixed set of long-lived workers that any number of
+// concurrent submitters share with round-robin fair admission. It is
+// the execution layer behind the root package's Engine. Callers own
+// determinism — each job must write only to state keyed by its own
+// index.
 package pool
 
 import (
@@ -12,33 +19,34 @@ import (
 	"profirt/internal/obs"
 )
 
-// Shared is the long-lived counterpart of Run: a fixed set of worker
-// goroutines serving any number of concurrent submitters. Where every
-// Run call spins its own workers — so N concurrent batches oversubscribe
-// the machine with N×GOMAXPROCS goroutines — a Shared pool admits all of
-// them onto one bounded worker set, interleaving their jobs round-robin
-// so no submitter starves and the total number of running jobs never
-// exceeds the pool width.
+// Shared is a fixed set of worker goroutines serving any number of
+// concurrent submitters. Rather than each batch spinning its own
+// workers — so N concurrent batches would oversubscribe the machine
+// with N×GOMAXPROCS goroutines — a Shared pool admits all of them onto
+// one bounded worker set, interleaving their jobs round-robin so no
+// submitter starves and the total number of running jobs never exceeds
+// the pool width.
 //
 // Admission is fair at job granularity: active submissions queue in a
 // ring, and each worker takes one index from the head submission before
 // it is re-queued at the tail, so M concurrent submissions each see
 // roughly workers/M of the pool. A submission may additionally bound its
-// own in-flight jobs (the per-call Parallelism knob): a submission at
-// its limit parks until one of its jobs completes. Two deliberate
-// exceptions run on the caller instead of the workers — submissions
-// whose effective limit is 1 (sequential calls must stay free of pool
-// overhead, the historical "Parallelism: 1 costs nothing" contract,
-// which also covers n == 1) and re-entrant submissions from a worker
-// (below) — so the precise bound is: pool-width jobs on the workers,
-// plus any callers running those degenerate submissions inline.
+// own in-flight jobs (RunJobs' limit): a submission at its limit parks
+// until one of its jobs completes. Two deliberate exceptions run inline
+// on the caller instead of the workers — submissions whose effective
+// limit is 1 (sequential calls must stay free of pool overhead, the
+// "parallelism 1 costs nothing" contract, which also covers n == 1) and
+// re-entrant submissions from a worker (below) — so the precise bound
+// is: pool-width jobs on the workers, plus any callers running those
+// submissions inline.
 //
-// Re-entrancy is safe but not shared: a RunContext issued from one of
-// the pool's own workers (a job, or a callback a job invokes, that
-// submits again) is detected and executed on a private per-call pool
-// instead — blocking a worker on work only that worker could run would
-// deadlock. Such nested fan-outs therefore run with the pre-Shared
-// per-call semantics rather than the pool's admission.
+// Re-entrancy is safe but not shared: a RunJobs issued from one of the
+// pool's own workers (a job, or a callback a job invokes, that submits
+// again) is detected and executed inline on that worker, in the same
+// sequential loop as a limit-1 submission — blocking a worker on work
+// only workers can run would deadlock. Detection keys on the calling
+// goroutine, not on the context, because callbacks that submit again
+// need not thread the job's context through (a nil ctx is valid).
 type Shared struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // workers wait here for queued work
@@ -52,8 +60,8 @@ type Shared struct {
 	// (inFlight, active) are mutated only where the mutex is already
 	// held by the dispatch bookkeeping, so tracking them costs nothing
 	// extra; the counters are plain int64s under the same mutex. Inline
-	// submissions (limit 1, or re-entrant fallback) never touch the
-	// workers, so they are tallied separately with an atomic.
+	// submissions (limit 1, or re-entrant) never touch the workers, so
+	// they are tallied separately with an atomic.
 	inFlight    int   // jobs executing on workers right now
 	active      int   // admitted submissions not yet settled
 	submissions int64 // total submissions admitted to the workers
@@ -78,14 +86,14 @@ type Stats struct {
 	// ring at the snapshot instant (parked submissions — at their
 	// in-flight limit — are not in the ring and thus not counted).
 	QueueDepth int
-	// ActiveSubmissions counts RunContext calls admitted to the workers
+	// ActiveSubmissions counts RunJobs calls admitted to the workers
 	// and not yet settled.
 	ActiveSubmissions int
-	// Submissions counts RunContext calls ever admitted to the workers.
+	// Submissions counts RunJobs calls ever admitted to the workers.
 	Submissions int64
 	// InlineSubmissions counts calls that ran on their caller instead:
 	// sequential submissions (effective limit 1) and re-entrant
-	// fan-outs from a worker.
+	// submissions from a worker.
 	InlineSubmissions int64
 	// Jobs counts jobs executed on the workers since construction.
 	Jobs int64
@@ -110,15 +118,6 @@ func (s *Shared) Stats() Stats {
 	s.mu.Unlock()
 	st.InlineSubmissions = s.inline.Load()
 	return st
-}
-
-// Closed reports whether Close has been called. A closed pool rejects
-// new submissions (RunContext panics; Engine-level callers gate with
-// their own sentinel before reaching it).
-func (s *Shared) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // submission is one RunJobs call in flight on a Shared pool.
@@ -173,8 +172,8 @@ func NewSharedObserved(workers int, m *obs.PoolMetrics) *Shared {
 
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine N [running]: ..."). One runtime.Stack of depth zero per
-// RunContext call — microseconds, paid once per submission, never per
-// job.
+// RunJobs call that could reach the workers — microseconds, paid once
+// per submission, never per job.
 func goroutineID() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -191,7 +190,7 @@ func goroutineID() int64 {
 func (s *Shared) Workers() int { return s.workers }
 
 // Close stops the workers after their current jobs and waits for them
-// to exit. Submissions still in flight are completed first; RunContext
+// to exit. Submissions still in flight are completed first; RunJobs
 // after Close panics. Close is idempotent.
 func (s *Shared) Close() {
 	s.mu.Lock()
@@ -205,31 +204,24 @@ func (s *Shared) Close() {
 	s.wg.Wait()
 }
 
-// RunContext evaluates fn(i) for every i in [0, n) on the shared
+// RunJobs evaluates fn(ctx, i) for every i in [0, n) on the shared
 // workers, with at most limit jobs of this call in flight at once
 // (limit <= 0 means the pool width), and blocks until every dispatched
-// job has finished. The contract matches the per-call RunContext: a
-// limit of 1 degenerates to a plain sequential loop on the calling
-// goroutine; once ctx is done no further indices are dispatched and the
-// in-flight jobs are awaited (indices never dispatched are simply not
-// called); a panicking job stops dispatch and the panic is re-raised
-// here with its original value. Any number of goroutines may call
-// RunContext concurrently — that is the point. A call issued from one
-// of this pool's own workers runs on a private per-call pool instead
-// (see the re-entrancy note on Shared).
-func (s *Shared) RunContext(ctx context.Context, limit, n int, fn func(i int)) {
-	s.RunJobs(ctx, limit, n, func(_ context.Context, i int) { fn(i) })
-}
-
-// RunJobs is RunContext for jobs that want their own context: each
-// job receives a context descended from ctx that carries the job's
-// pool.job tracing span (when ctx is traced), so work the job does —
-// cache lookups, nested spans — nests under the job in trace exports.
-// On an observed pool (NewSharedObserved) every worker-run job also
-// records queue-wait and run-time histograms; inline jobs (effective
-// limit 1) never queue and record run time only, and re-entrant
-// fallback jobs run on a private per-call pool outside the pool's
-// instrumentation.
+// job has finished. A limit of 1 degenerates to a plain sequential loop
+// on the calling goroutine, as does a call issued from one of this
+// pool's own workers (see the re-entrancy note on Shared). Once ctx is
+// done no further indices are dispatched and the in-flight jobs are
+// awaited; indices never dispatched are simply not called, and a nil
+// ctx means no cancellation. A panicking job stops dispatch and the
+// panic is re-raised here with its original value. Any number of
+// goroutines may call RunJobs concurrently — that is the point.
+//
+// Each job receives a context descended from ctx that carries the
+// job's pool.job tracing span (when ctx is traced), so work the job
+// does — cache lookups, nested spans — nests under the job in trace
+// exports. On an observed pool (NewSharedObserved) every worker-run job
+// also records queue-wait and run-time histograms; inline jobs never
+// queue and record run time only.
 func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.Context, i int)) {
 	if n <= 0 {
 		return
@@ -240,45 +232,11 @@ func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.
 	if limit > n {
 		limit = n
 	}
-	if limit <= 1 {
-		s.inline.Add(1)
-		traced := obs.TracerFrom(ctx) != nil
-		pm := s.obs
-		// Chain the clock reads: each job's end reading doubles as the
-		// next job's start, so timing n inline jobs costs n+1 reads
-		// instead of 2n — the difference is measurable where the wall
-		// clock has no fast path.
-		var prev time.Time
-		if pm != nil {
-			prev = pm.Clock.Now()
-		}
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			s.runInline(ctx, traced, i, fn)
-			if pm != nil {
-				now := pm.Clock.Now()
-				pm.Run.Observe(now.Sub(prev))
-				prev = now
-			}
-		}
+	if limit <= 1 || s.isWorker() {
+		s.runInline(ctx, n, fn)
 		return
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return
-	}
-	gid := goroutineID()
-	s.mu.Lock()
-	_, reentrant := s.gids[gid]
-	s.mu.Unlock()
-	if reentrant {
-		// Submitted from one of our own workers: enqueuing would block
-		// a worker on work only workers can run — a full pool of such
-		// jobs deadlocks. Fall back to a per-call pool, the pre-Shared
-		// behaviour for nested fan-out.
-		s.inline.Add(1)
-		RunContext(ctx, limit, n, func(i int) { fn(ctx, i) })
 		return
 	}
 	sub := &submission{ctx: ctx, fn: fn, n: n, limit: limit, done: make(chan struct{})}
@@ -293,7 +251,7 @@ func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		panic("pool: RunContext on a closed Shared pool")
+		panic("pool: RunJobs on a closed Shared pool")
 	}
 	sub.queued = true
 	s.queue = append(s.queue, sub)
@@ -307,11 +265,48 @@ func (s *Shared) RunJobs(ctx context.Context, limit, n int, fn func(ctx context.
 	}
 }
 
-// runInline executes one job of an inline (limit <= 1) submission on
+// isWorker reports whether the caller is one of this pool's workers.
+// Only submissions that would otherwise reach the workers pay for the
+// goroutine-id lookup.
+func (s *Shared) isWorker() bool {
+	gid := goroutineID()
+	s.mu.Lock()
+	_, ok := s.gids[gid]
+	s.mu.Unlock()
+	return ok
+}
+
+// runInline executes a sequential (limit 1) or re-entrant submission on
 // the calling goroutine, with the same pool.job span a worker would
-// apply. Run-time recording lives in the caller's loop (chained clock
-// reads); queue wait is not recorded: inline jobs never enter the ring.
-func (s *Shared) runInline(ctx context.Context, traced bool, i int, fn func(context.Context, int)) {
+// apply. Queue wait is not recorded: inline jobs never enter the ring.
+func (s *Shared) runInline(ctx context.Context, n int, fn func(context.Context, int)) {
+	s.inline.Add(1)
+	traced := obs.TracerFrom(ctx) != nil
+	pm := s.obs
+	// Chain the clock reads: each job's end reading doubles as the next
+	// job's start, so timing n inline jobs costs n+1 reads instead of
+	// 2n — the difference is measurable where the wall clock has no
+	// fast path.
+	var prev time.Time
+	if pm != nil {
+		prev = pm.Clock.Now()
+	}
+	for i := 0; i < n; i++ {
+		if ctx != nil && ctx.Err() != nil {
+			return
+		}
+		s.runInlineJob(ctx, traced, i, fn)
+		if pm != nil {
+			now := pm.Clock.Now()
+			pm.Run.Observe(now.Sub(prev))
+			prev = now
+		}
+	}
+}
+
+// runInlineJob executes one inline job, under a pool.job span when
+// traced.
+func (s *Shared) runInlineJob(ctx context.Context, traced bool, i int, fn func(context.Context, int)) {
 	if traced {
 		var sp obs.Span
 		ctx, sp = obs.StartSpanArg(ctx, "pool.job", int64(i))
@@ -424,17 +419,4 @@ func (s *Shared) exec(sub *submission, idx int) {
 		return
 	}
 	sub.fn(jctx, idx)
-}
-
-// Do evaluates fn(i) for every i in [0, n): on the shared pool p when
-// one is provided (workers then bounds this call's in-flight jobs), or
-// on a per-call pool of `workers` goroutines otherwise. It is the
-// bridge every batch layer threads its optional pool handle through —
-// a nil *Shared keeps the historical per-call behaviour.
-func Do(ctx context.Context, p *Shared, workers, n int, fn func(i int)) {
-	if p != nil {
-		p.RunContext(ctx, workers, n, fn)
-		return
-	}
-	RunContext(ctx, workers, n, fn)
 }

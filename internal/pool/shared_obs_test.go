@@ -31,7 +31,7 @@ func TestSharedObservedRecordsQueueWaitAndRun(t *testing.T) {
 	const n = 16
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	s.RunContext(context.Background(), 4, n, func(i int) {
+	run(s, context.Background(), 4, n, func(i int) {
 		mu.Lock()
 		seen[i] = true
 		mu.Unlock()
@@ -55,7 +55,7 @@ func TestSharedObservedInlineRecordsRunOnly(t *testing.T) {
 	s := NewSharedObserved(4, &m.Pool)
 	defer s.Close()
 
-	s.RunContext(context.Background(), 1, 5, func(i int) {})
+	run(s, context.Background(), 1, 5, func(i int) {})
 	if got := m.Pool.Run.Snapshot().Count; got != 5 {
 		t.Fatalf("inline Run count = %d, want 5", got)
 	}
@@ -133,7 +133,7 @@ func TestRunJobsInlineSpans(t *testing.T) {
 func TestUnobservedPoolRecordsNothing(t *testing.T) {
 	s := NewShared(4)
 	defer s.Close()
-	s.RunContext(context.Background(), 4, 8, func(i int) {})
+	run(s, context.Background(), 4, 8, func(i int) {})
 	// No metrics attached: nothing to assert beyond not panicking, but
 	// make sure RunJobs on a plain pool also works with a nil tracer.
 	s.RunJobs(context.Background(), 4, 8, func(jctx context.Context, i int) {

@@ -25,12 +25,17 @@ func (t *maxTracker) enter() {
 
 func (t *maxTracker) exit() { t.cur.Add(-1) }
 
+// run adapts a context-free job to RunJobs.
+func run(s *Shared, ctx context.Context, limit, n int, fn func(i int)) {
+	s.RunJobs(ctx, limit, n, func(_ context.Context, i int) { fn(i) })
+}
+
 func TestSharedRunsEveryIndexOnce(t *testing.T) {
 	s := NewShared(4)
 	defer s.Close()
 	const n = 1000
 	counts := make([]atomic.Int32, n)
-	s.RunContext(nil, 0, n, func(i int) { counts[i].Add(1) })
+	run(s, nil, 0, n, func(i int) { counts[i].Add(1) })
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
 			t.Fatalf("index %d ran %d times", i, got)
@@ -48,7 +53,7 @@ func TestSharedBoundsConcurrencyAcrossSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.RunContext(nil, 0, jobs, func(int) {
+			run(s, nil, 0, jobs, func(int) {
 				running.enter()
 				defer running.exit()
 				spin()
@@ -65,7 +70,7 @@ func TestSharedHonorsPerSubmissionLimit(t *testing.T) {
 	s := NewShared(8)
 	defer s.Close()
 	var running maxTracker
-	s.RunContext(nil, 2, 64, func(int) {
+	run(s, nil, 2, 64, func(int) {
 		running.enter()
 		defer running.exit()
 		spin()
@@ -79,7 +84,7 @@ func TestSharedLimitOneRunsInline(t *testing.T) {
 	s := NewShared(4)
 	defer s.Close()
 	order := make([]int, 0, 10)
-	s.RunContext(nil, 1, 10, func(i int) { order = append(order, i) })
+	run(s, nil, 1, 10, func(i int) { order = append(order, i) })
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("sequential order violated at %d: got %d", i, got)
@@ -100,7 +105,7 @@ func TestSharedPropagatesPanicToItsSubmitter(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.RunContext(nil, 0, 100, func(int) { okDone.Add(1); spin() })
+		run(s, nil, 0, 100, func(int) { okDone.Add(1); spin() })
 	}()
 	func() {
 		defer func() {
@@ -108,7 +113,7 @@ func TestSharedPropagatesPanicToItsSubmitter(t *testing.T) {
 				t.Errorf("recovered %v, want boom", r)
 			}
 		}()
-		s.RunContext(nil, 0, 100, func(i int) {
+		run(s, nil, 0, 100, func(i int) {
 			if i == 7 {
 				panic("boom")
 			}
@@ -126,7 +131,7 @@ func TestSharedStopsDispatchOnCancel(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	s.RunContext(ctx, 0, 1000, func(i int) {
+	run(s, ctx, 0, 1000, func(i int) {
 		if ran.Add(1) == 4 {
 			cancel()
 		}
@@ -138,7 +143,7 @@ func TestSharedStopsDispatchOnCancel(t *testing.T) {
 	}
 	// A pre-cancelled context runs nothing.
 	ran.Store(0)
-	s.RunContext(ctx, 0, 100, func(int) { ran.Add(1) })
+	run(s, ctx, 0, 100, func(int) { ran.Add(1) })
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("pre-cancelled submission ran %d jobs", got)
 	}
@@ -157,7 +162,7 @@ func TestSharedInterleavesConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.RunContext(nil, 2, 50, func(int) { total.Add(1) })
+			run(s, nil, 2, 50, func(int) { total.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -169,47 +174,44 @@ func TestSharedInterleavesConcurrentSubmitters(t *testing.T) {
 func TestSharedReentrantSubmissionDoesNotDeadlock(t *testing.T) {
 	// A job (or a callback it invokes) that submits back to the pool it
 	// runs on must not block a worker on work only workers can run. The
-	// pool detects the re-entrant call and runs it on a private
-	// per-call pool; with every worker inside such a job this would
-	// deadlock otherwise. (Width 2 keeps the outer submission on the
-	// workers — width 1 would degenerate it to the inline path.)
+	// pool detects the re-entrant call and runs it inline on the
+	// submitting worker, in index order; with every worker inside such
+	// a job this would deadlock otherwise. (Width 2 keeps the outer
+	// submission on the workers — width 1 would degenerate it to the
+	// inline path.)
 	s := NewShared(2)
 	defer s.Close()
 	var inner atomic.Int32
-	s.RunContext(nil, 0, 4, func(int) {
-		s.RunContext(nil, 2, 8, func(int) { inner.Add(1) })
+	run(s, nil, 0, 4, func(int) {
+		var order []int
+		run(s, nil, 2, 8, func(i int) { order = append(order, i); inner.Add(1) })
+		for i, got := range order {
+			if got != i {
+				t.Errorf("re-entrant submission ran out of order: %v", order)
+				return
+			}
+		}
 	})
 	if got := inner.Load(); got != 32 {
 		t.Fatalf("nested submissions ran %d of 32 jobs", got)
+	}
+	st := s.Stats()
+	if st.InlineSubmissions != 4 || st.Submissions != 1 || st.Jobs != 4 {
+		t.Fatalf("re-entrant submissions must run inline: %+v", st)
 	}
 }
 
 func TestSharedCloseIsIdempotentAndRejectsNewWork(t *testing.T) {
 	s := NewShared(2)
-	s.RunContext(nil, 0, 10, func(int) {})
+	run(s, nil, 0, 10, func(int) {})
 	s.Close()
 	s.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunContext on a closed pool did not panic")
+			t.Fatal("RunJobs on a closed pool did not panic")
 		}
 	}()
-	s.RunContext(nil, 0, 4, func(int) {})
-}
-
-func TestDoFallsBackToPerCallPool(t *testing.T) {
-	var ran atomic.Int32
-	Do(nil, nil, 2, 10, func(int) { ran.Add(1) })
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("per-call fallback ran %d of 10", got)
-	}
-	s := NewShared(2)
-	defer s.Close()
-	ran.Store(0)
-	Do(nil, s, 2, 10, func(int) { ran.Add(1) })
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("shared path ran %d of 10", got)
-	}
+	run(s, nil, 0, 4, func(int) {})
 }
 
 // spin burns a little CPU so concurrent jobs overlap observably.
@@ -239,7 +241,7 @@ func TestSharedStats(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.RunContext(context.Background(), 0, 4, func(i int) {
+		run(s, context.Background(), 0, 4, func(i int) {
 			started <- struct{}{}
 			<-release
 		})
@@ -267,7 +269,7 @@ func TestSharedStats(t *testing.T) {
 	}
 
 	// Sequential submissions run inline and are tallied separately.
-	s.RunContext(context.Background(), 1, 3, func(int) {})
+	run(s, context.Background(), 1, 3, func(int) {})
 	st = s.Stats()
 	if st.InlineSubmissions != 1 || st.Jobs != 4 {
 		t.Fatalf("inline submission accounting: %+v", st)
@@ -277,7 +279,119 @@ func TestSharedStats(t *testing.T) {
 	if st := s.Stats(); !st.Closed {
 		t.Fatalf("closed pool not reported: %+v", st)
 	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
+}
+
+func TestRunCoversEveryIndexOnce(t *testing.T) {
+	for _, width := range []int{-1, 0, 1, 2, 8} {
+		s := NewShared(width)
+		for _, limit := range []int{-1, 0, 1, 2, 100} {
+			const n = 57
+			visits := make([]int32, n)
+			run(s, nil, limit, n, func(i int) {
+				atomic.AddInt32(&visits[i], 1)
+			})
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("width=%d limit=%d: index %d visited %d times", width, limit, i, v)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
+func TestRunEmpty(t *testing.T) {
+	s := NewShared(4)
+	defer s.Close()
+	called := false
+	run(s, nil, 0, 0, func(int) { called = true })
+	run(s, nil, 0, -3, func(int) { called = true })
+	if called {
+		t.Error("fn called for empty job set")
+	}
+	if st := s.Stats(); st.Submissions != 0 || st.InlineSubmissions != 0 {
+		t.Errorf("empty job sets were counted as submissions: %+v", st)
+	}
+}
+
+func TestRunRepanicsOnCaller(t *testing.T) {
+	s := NewShared(4)
+	defer s.Close()
+	for _, limit := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("limit=%d: recovered %v, want \"boom\"", limit, r)
+				}
+			}()
+			run(s, nil, limit, 16, func(i int) {
+				if i == 3 {
+					panic("boom")
+				}
+			})
+			t.Errorf("limit=%d: RunJobs returned instead of panicking", limit)
+		}()
+	}
+}
+
+func TestRunSequentialOnCallingGoroutine(t *testing.T) {
+	// A one-worker pool degenerates every submission to the inline
+	// loop, which must preserve index order (the sequential guarantee
+	// forEachCell's contract documents).
+	s := NewShared(1)
+	defer s.Close()
+	var order []int
+	run(s, nil, 0, 5, func(i int) { order = append(order, i) })
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("sequential order broken: %v", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("ran %d jobs, want 5", len(order))
+	}
+}
+
+// TestRunContextNilIsRun: a nil ctx means no cancellation.
+func TestRunContextNilIsRun(t *testing.T) {
+	s := NewShared(4)
+	defer s.Close()
+	var ran atomic.Int64
+	run(s, nil, 0, 100, func(i int) { ran.Add(1) })
+	if ran.Load() != 100 {
+		t.Fatalf("ran %d of 100 jobs", ran.Load())
+	}
+}
+
+func TestRunContextCancelledUpFront(t *testing.T) {
+	s := NewShared(4)
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, limit := range []int{1, 4} {
+		var ran atomic.Int64
+		run(s, ctx, limit, 100, func(i int) { ran.Add(1) })
+		if ran.Load() != 0 {
+			t.Fatalf("limit=%d: cancelled submission ran %d jobs", limit, ran.Load())
+		}
+	}
+}
+
+func TestRunContextCancelMidway(t *testing.T) {
+	s := NewShared(4)
+	defer s.Close()
+	for _, limit := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		run(s, ctx, limit, 1_000, func(i int) {
+			if ran.Add(1) == 10 {
+				cancel()
+			}
+		})
+		cancel()
+		got := ran.Load()
+		if got < 10 || got == 1_000 {
+			t.Fatalf("limit=%d: ran %d jobs; want >=10 and <1000", limit, got)
+		}
 	}
 }

@@ -6,8 +6,18 @@ import (
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/pool"
 	"profirt/internal/profibus"
 )
+
+// withPool sets opts.Pool to a fresh pool of the given width (0 means
+// GOMAXPROCS), closed when the test ends.
+func withPool(t testing.TB, width int, opts SimOptions) SimOptions {
+	p := pool.NewShared(width)
+	t.Cleanup(p.Close)
+	opts.Pool = p
+	return opts
+}
 
 // noisyTopology builds a topology that actually exercises randomness
 // (release jitter and fault-injected retries) and multi-stream
@@ -45,14 +55,14 @@ func noisyTopology() SimTopology {
 // TestTopologyParallelismDeterminism is the core guarantee of the
 // sharded topology simulator, mirroring the experiment harness's
 // determinism regression: results must be identical whether the
-// segments run sequentially, on two workers, or on GOMAXPROCS workers.
+// segments run on a one-, two- or GOMAXPROCS-worker pool.
 // Each segment owns a seed derived from (Seed, segment name) and all
 // bridge state is exchanged at round barriers, so worker scheduling
 // cannot leak into any draw.
 func TestTopologyParallelismDeterminism(t *testing.T) {
 	st := noisyTopology()
 	run := func(parallelism int) SimResult {
-		res, err := Simulate(st, SimOptions{Parallelism: parallelism})
+		res, err := Simulate(st, withPool(t, parallelism, SimOptions{}))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -74,11 +84,11 @@ func TestTopologyParallelismDeterminism(t *testing.T) {
 // equal seeds reproduce results exactly.
 func TestTopologySeedReachesSegments(t *testing.T) {
 	st := noisyTopology()
-	a, err := Simulate(st, SimOptions{})
+	a, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(st, SimOptions{})
+	b, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestTopologySeedReachesSegments(t *testing.T) {
 		t.Error("equal seeds produced different results")
 	}
 	st.Seed = 999
-	c, err := Simulate(st, SimOptions{})
+	c, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,9 @@ import (
 
 // SimOptions tunes the sharded topology simulation.
 type SimOptions struct {
-	// Parallelism bounds the per-segment worker pool. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces sequential evaluation. Results
-	// are byte-identical for any value. With Pool set it instead
-	// bounds this simulation's in-flight segment shards on the shared
-	// pool (0 means the pool width).
-	Parallelism int
-	// Pool, when non-nil, runs the per-round segment shards on a shared
-	// long-lived worker pool instead of a per-call one, so concurrent
-	// topology simulations share one bounded worker set. Results are
-	// byte-identical either way.
+	// Pool runs the per-round segment shards; required. Concurrent
+	// topology simulations share its one bounded worker set, and
+	// results are byte-identical at any pool width.
 	Pool *pool.Shared
 	// Context cancels the simulation at the next round barrier: the
 	// bridge-exchange fixed point checks it before each round and
@@ -142,7 +135,7 @@ func (a injection) equal(b injection) bool {
 // acyclic segment coupling that takes chain depth + 1 rounds). Each
 // segment's RNG seed is derived from SimTopology.Seed and the segment
 // name, and all cross-segment state is exchanged at round barriers, so
-// results are byte-identical at any Parallelism.
+// results are byte-identical at any pool width.
 func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 	if err := t.Validate(); err != nil {
 		return SimResult{}, err
@@ -244,7 +237,7 @@ func Simulate(t SimTopology, opts SimOptions) (SimResult, error) {
 		// topology.round span (arg = 1-based round number), so trace
 		// exports show where the bridge exchange spent its time.
 		rctx, rspan := obs.StartSpanArg(ctx, "topology.round", int64(rounds))
-		pool.Do(rctx, opts.Pool, opts.Parallelism, n, func(i int) {
+		opts.Pool.RunJobs(rctx, 0, n, func(_ context.Context, i int) {
 			if !dirty[i] || (ctx != nil && ctx.Err() != nil) {
 				return
 			}

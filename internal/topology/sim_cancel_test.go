@@ -15,7 +15,7 @@ func TestSimulateCancelAtRoundBarrier(t *testing.T) {
 	st := noisyTopology()
 	// Baseline: the fixture needs several rounds, so an uncancelled run
 	// observing only round 1 would be indistinguishable from the bug.
-	base, err := Simulate(st, SimOptions{})
+	base, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSimulateCancelAtRoundBarrier(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var rounds []int
-	_, err = Simulate(st, SimOptions{
+	_, err = Simulate(st, withPool(t, 0, SimOptions{
 		Context: ctx,
 		OnRound: func(r int) {
 			rounds = append(rounds, r)
@@ -34,7 +34,7 @@ func TestSimulateCancelAtRoundBarrier(t *testing.T) {
 				cancel()
 			}
 		},
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled simulation returned err = %v, want context.Canceled", err)
 	}
@@ -50,7 +50,7 @@ func TestSimulateCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	_, err := Simulate(st, SimOptions{Context: ctx, OnRound: func(int) { ran++ }})
+	_, err := Simulate(st, withPool(t, 0, SimOptions{Context: ctx, OnRound: func(int) { ran++ }}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled simulation returned err = %v, want context.Canceled", err)
 	}
@@ -64,11 +64,11 @@ func TestSimulateCancelledBeforeStart(t *testing.T) {
 // as before.
 func TestSimulateNilContextUnchanged(t *testing.T) {
 	st := noisyTopology()
-	want, err := Simulate(st, SimOptions{})
+	want, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(st, SimOptions{Context: nil, Parallelism: 2})
+	got, err := Simulate(st, withPool(t, 2, SimOptions{Context: nil}))
 	if err != nil {
 		t.Fatal(err)
 	}

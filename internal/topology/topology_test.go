@@ -124,7 +124,7 @@ func TestAnalysisSimAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := Simulate(st, SimOptions{})
+			sim, err := Simulate(st, withPool(t, 0, SimOptions{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestThreeSegmentChain(t *testing.T) {
 		t.Errorf("second hop bound %v should exceed first hop bound %v (origin anchoring)",
 			second.EndToEnd, first.EndToEnd)
 	}
-	sim, err := Simulate(st, SimOptions{})
+	sim, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestValidationRejects(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("Validate() = %v, want error containing %q", err, tc.wantSub)
 			}
-			if _, simErr := Simulate(st, SimOptions{}); simErr == nil {
+			if _, simErr := Simulate(st, withPool(t, 0, SimOptions{})); simErr == nil {
 				t.Error("Simulate accepted an invalid topology")
 			}
 		})
@@ -285,7 +285,7 @@ func TestAnalyticValidation(t *testing.T) {
 func TestRelayFailedDeliveriesCountAsMissed(t *testing.T) {
 	st := twoSegment(30_000)
 	st.Segments[1].Cfg.Faults.CycleFailProb = 0.6
-	sim, err := Simulate(st, SimOptions{})
+	sim, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRelayFailedDeliveriesCountAsMissed(t *testing.T) {
 // own periodic pattern.
 func TestRelayTargetOwnsReleases(t *testing.T) {
 	st := twoSegment(30_000)
-	sim, err := Simulate(st, SimOptions{})
+	sim, err := Simulate(st, withPool(t, 0, SimOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
