@@ -1,6 +1,7 @@
 package profibus
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -365,5 +366,63 @@ func TestResultHelpers(t *testing.T) {
 	var es StreamStats
 	if es.MeanResponse() != 0 {
 		t.Error("MeanResponse of empty stats must be 0")
+	}
+}
+
+// With J = 3P a delayed release is overtaken by later ones. Under
+// adversarial jitter release 0 becomes ready at 3P, after releases 1
+// and 2 (ready at P and 2P) and tied with release 3: the FCFS master
+// completes nominal P and 2P first, then nominal 0 ahead of 3P.
+func TestJitterOvertaking(t *testing.T) {
+	const period = 10_000
+	s := stdStream("s", period, 100_000)
+	s.Jitter = 3 * period
+	cfg := testConfig(10_000, MasterConfig{Addr: 1, Streams: []StreamConfig{s}})
+	cfg.Jitter = JitterAdversarial
+	cfg.Horizon = 60_000
+	cfg.RecordTrace = true
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.PerMaster[0].PerStream[0]
+	var order []Ticks
+	for _, c := range st.Trace {
+		order = append(order, c.Release)
+	}
+	want := []Ticks{period, 2 * period, 0, 3 * period, 4 * period, 5 * period}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("completion order by nominal release = %v, want %v", order, want)
+	}
+	if st.Released != 6 || st.Completed != 6 {
+		t.Errorf("released %d, completed %d; want 6 and 6", st.Released, st.Completed)
+	}
+}
+
+// Random jitter of 3.5 periods reorders releases freely. Without faults
+// the RNG serves only the jitter draws, one per nominal release before
+// the horizon in release order, so the count of releases ready before
+// the horizon can be replayed here.
+func TestJitterRandomOvertaking(t *testing.T) {
+	const period = 1_000
+	s := stdStream("s", period, 100_000)
+	s.Jitter = 3*period + period/2
+	cfg := testConfig(100_000, MasterConfig{Addr: 1, Streams: []StreamConfig{s}})
+	cfg.Jitter = JitterRandom
+	cfg.Horizon = 50_500
+	cfg.Seed = 7
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var want int64
+	for nominal := Ticks(0); nominal < cfg.Horizon; nominal += period {
+		if nominal+Ticks(rng.Int63n(int64(s.Jitter)+1)) < cfg.Horizon {
+			want++
+		}
+	}
+	if got := res.PerMaster[0].PerStream[0].Released; got != want {
+		t.Errorf("released %d, want %d", got, want)
 	}
 }
