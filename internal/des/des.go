@@ -5,12 +5,13 @@
 // independently testable.
 //
 // The calendar is a hand-rolled binary min-heap over event values, not
-// container/heap over pointers: the simulator schedules one event per
-// message release, bus cycle and token pass, so a per-event heap
-// allocation dominates the whole-suite allocation profile. For the same
-// reason an event is a small value Payload dispatched through a single
-// engine-level handler rather than a per-event closure, and an Engine
-// can be wiped for reuse with Reset while keeping its calendar
+// container/heap over pointers, and an event is a small value Payload
+// dispatched through a single engine-level handler rather than a
+// per-event closure, so scheduling allocates nothing. The simulator
+// keeps each stream's next few releases on the calendar and holds its
+// one pending bus event (token pass, cycle or gap poll) outside it,
+// driving the calendar with Run up to each bus instant in turn. An
+// Engine can be wiped for reuse with Reset while keeping its calendar
 // capacity.
 package des
 
@@ -74,12 +75,6 @@ func (e *Engine) SchedulePayload(at Ticks, prio int, p Payload) {
 	e.checkPast(at)
 	e.push(event{at: at, prio: prio, seq: e.seq, p: p})
 	e.seq++
-}
-
-// SchedulePayloadAfter enqueues an event delay ticks from now with
-// priority 0.
-func (e *Engine) SchedulePayloadAfter(delay Ticks, p Payload) {
-	e.SchedulePayload(e.now+delay, 0, p)
 }
 
 func (e *Engine) checkPast(at Ticks) {

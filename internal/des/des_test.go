@@ -54,7 +54,7 @@ func TestScheduleAfterAndNesting(t *testing.T) {
 	e.SetDispatch(func(p Payload) {
 		fired = append(fired, e.Now())
 		if p.Kind == 0 {
-			e.SchedulePayloadAfter(4, Payload{Kind: 1})
+			e.SchedulePayload(e.Now()+4, 0, Payload{Kind: 1})
 		}
 	})
 	e.SchedulePayload(3, 0, Payload{})

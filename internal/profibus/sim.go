@@ -27,12 +27,15 @@ const (
 	phaseLow                         // WHILE TTH>0 AND pending low
 )
 
-// Event kinds carried in des.Payload.Kind. Every simulator event is a
-// closure-free payload event dispatched through (*simulator).dispatch,
-// so scheduling allocates nothing on the hot path.
+// The des calendar holds only stream releases, as payload events
+// (X=master, Y=stream, A=nominal; ready = Now) dispatched through
+// (*simulator).dispatch, so scheduling allocates nothing on the hot
+// path. Each stream keeps only its next few releases there (see
+// releaseWindow). Bus events follow one another on the single medium,
+// so exactly one is pending at any time: it waits in the simulator's
+// bus slot (see setBus), and its kind is carried in des.Payload.Kind.
 const (
-	evArrival   = iota + 1 // X=master, Y=stream, A=nominal (ready = Now)
-	evToken                // X=master receiving the token
+	evToken     = iota + 1 // X=master receiving the token
 	evCycleDone            // X=master, Y=stream, A=nominal, Z=retries, Flags
 	evGapDone              // X=master, Flags
 )
@@ -66,6 +69,12 @@ type masterState struct {
 	action   []fdl.Frame
 	response []fdl.Frame
 
+	// releases tracks each stream's releases on the calendar; stream si
+	// is stream firstStream+si of the whole network, which is its
+	// same-instant calendar priority.
+	releases    []releaseCursor
+	firstStream int
+
 	lastArrival  Ticks
 	firstArrival bool
 	tokenArrival Ticks
@@ -87,8 +96,9 @@ type masterState struct {
 // reset re-arms the master for a new run, reusing queue and frame
 // storage. Every field is (re)assigned: a pooled simulator must not
 // leak state between runs.
-func (m *masterState) reset(idx int, mc MasterConfig) {
+func (m *masterState) reset(idx, firstStream int, mc MasterConfig) {
 	m.idx = idx
+	m.firstStream = firstStream
 	m.cfg = mc
 	if mc.Dispatcher != ap.FCFS {
 		if m.apQueue == nil {
@@ -108,9 +118,12 @@ func (m *masterState) reset(idx int, mc MasterConfig) {
 	if cap(m.action) < n {
 		m.action = make([]fdl.Frame, n)
 		m.response = make([]fdl.Frame, n)
+		m.releases = make([]releaseCursor, n)
 	}
 	m.action = m.action[:n]
 	m.response = m.response[:n]
+	m.releases = m.releases[:n]
+	clear(m.releases)
 	for si, st := range mc.Streams {
 		m.action[si], m.response[si] = st.Frames(mc.Addr)
 	}
@@ -160,6 +173,15 @@ func (m *masterState) popHigh() (request, bool) {
 	return request{stream: ar.Stream, nominal: ar.Release, ready: ar.Ready}, true
 }
 
+// releaseCursor tracks one stream's releases on the calendar.
+type releaseCursor struct {
+	// next is the index of the next release to put on the calendar.
+	next int64
+	// jitter is where the stream's pre-drawn random jitter starts in
+	// simulator.jitter (one value per release before the horizon).
+	jitter int
+}
+
 type simulator struct {
 	cfg     Config
 	eng     des.Engine
@@ -167,6 +189,18 @@ type simulator struct {
 	masters []masterState
 	tsdr    map[byte]Ticks
 	res     Result
+
+	// now is the simulated time of the event being handled: a release
+	// from the calendar or the bus event.
+	now Ticks
+	// bus is the one pending bus event (token pass, cycle done or gap
+	// done), due at busAt when busSet.
+	bus    des.Payload
+	busAt  Ticks
+	busSet bool
+	// jitter holds every JitterRandom draw of the run, drawn up front
+	// (see drawJitter).
+	jitter []Ticks
 }
 
 // simPool recycles simulators across runs: the event calendar, queue
@@ -192,18 +226,28 @@ func Simulate(cfg Config) (Result, error) {
 	}
 	s := simPool.Get().(*simulator)
 	s.reset(cfg)
+	s.drawJitter()
 
-	// Schedule stream releases.
 	for i := range s.masters {
 		m := &s.masters[i]
-		for si := range m.cfg.Streams {
-			s.scheduleRelease(m, si, 0)
+		for si, st := range m.cfg.Streams {
+			for range s.releaseWindow(st) {
+				if !s.scheduleNextRelease(m, si) {
+					break
+				}
+			}
 		}
 	}
 
 	// Token starts at the first master at t = 0.
-	s.eng.SchedulePayload(0, 0, des.Payload{Kind: evToken, X: 0})
-
+	s.setBus(0, des.Payload{Kind: evToken, X: 0})
+	for s.busSet && s.busAt < cfg.Horizon {
+		// Releases due at or before the bus event fire first: at one
+		// instant every arrival precedes the bus event.
+		s.eng.Run(s.busAt + 1)
+		s.now, s.busSet = s.busAt, false
+		s.fireBus(s.bus)
+	}
 	s.eng.Run(cfg.Horizon)
 	s.censorPending()
 
@@ -259,17 +303,82 @@ func (s *simulator) reset(cfg Config) {
 		s.masters = make([]masterState, len(cfg.Masters))
 	}
 	s.masters = s.masters[:len(cfg.Masters)]
+	firstStream := 0
 	for i := range s.masters {
-		s.masters[i].reset(i, cfg.Masters[i])
+		s.masters[i].reset(i, firstStream, cfg.Masters[i])
+		firstStream += len(cfg.Masters[i].Streams)
+	}
+	s.now = 0
+	s.busSet = false
+	s.jitter = s.jitter[:0]
+}
+
+// drawJitter draws every JitterRandom value of the run before it
+// starts: per master, per stream, per release with a nominal instant
+// before the horizon. The RNG makes the same draws in the same order as
+// when every release was scheduled at t = 0, so the fault draws made
+// during the run see the same RNG state.
+func (s *simulator) drawJitter() {
+	if s.cfg.Jitter != JitterRandom {
+		return
+	}
+	for i := range s.masters {
+		m := &s.masters[i]
+		for si, st := range m.cfg.Streams {
+			m.releases[si].jitter = len(s.jitter)
+			if st.Releases != nil || st.Jitter <= 0 {
+				continue
+			}
+			for n := int64(0); st.Offset+Ticks(n)*st.Period < s.cfg.Horizon; n++ {
+				s.jitter = append(s.jitter, Ticks(s.rng.Int63n(int64(st.Jitter)+1)))
+			}
+		}
 	}
 }
 
-// dispatch routes payload events; it is the engine's single event
-// handler.
+// releaseWindow is how many of a stream's releases stay on the calendar:
+// w = max(1, ⌈J/P⌉) for jittered periodic streams, 1 otherwise.
+// Releases go on the calendar in index order, the first w up front and
+// the next one each time a release of the stream fires. Release n is
+// ready within [nominal_n, nominal_n + J], so the stream's k-th firing
+// (from 0) comes no later than the latest ready instant of releases
+// 0..k, at most nominal_k + J ≤ nominal_{k+w}, when release k+w is
+// already on the calendar. So every release is there by its ready
+// instant, and same-instant releases of one stream fire in index order
+// because they were inserted in it. With J > P releases overtake one
+// another, so a window of 1 would schedule into the past; inserting
+// release n+w when release n fires (rather than the next uninserted
+// one) would break same-instant ties.
+func (s *simulator) releaseWindow(st StreamConfig) int64 {
+	if st.Releases != nil || st.Jitter <= 0 ||
+		(s.cfg.Jitter != JitterRandom && s.cfg.Jitter != JitterAdversarial) {
+		return 1
+	}
+	return max(1, (int64(st.Jitter)+int64(st.Period)-1)/int64(st.Period))
+}
+
+// dispatch is the calendar's event handler: every calendar event is a
+// stream release, which puts the stream's next release on the calendar.
 func (s *simulator) dispatch(p des.Payload) {
+	m := &s.masters[p.X]
+	s.now = s.eng.Now()
+	s.onArrival(m, int(p.Y), p.A)
+	s.scheduleNextRelease(m, int(p.Y))
+}
+
+// setBus makes p the pending bus event, due at at. The bus carries one
+// frame exchange at a time, so a second pending bus event is a
+// modelling bug.
+func (s *simulator) setBus(at Ticks, p des.Payload) {
+	if s.busSet {
+		panic("profibus: second bus event scheduled while one is pending")
+	}
+	s.bus, s.busAt, s.busSet = p, at, true
+}
+
+// fireBus handles the bus event due now.
+func (s *simulator) fireBus(p des.Payload) {
 	switch p.Kind {
-	case evArrival:
-		s.onArrival(&s.masters[p.X], int(p.Y), p.A)
 	case evToken:
 		s.onTokenArrival(&s.masters[p.X])
 	case evCycleDone:
@@ -283,56 +392,51 @@ func (s *simulator) dispatch(p des.Payload) {
 	}
 }
 
-// scheduleRelease schedules the n-th release of a stream and recurses.
-// Streams with an explicit Releases list follow it verbatim (no
-// synthetic jitter: the listed instants are real arrival times);
-// otherwise the periodic Offset + n·Period pattern applies.
-func (s *simulator) scheduleRelease(m *masterState, si int, n int64) {
-	st := m.cfg.Streams[si]
+// scheduleNextRelease puts the stream's next release, if it has one
+// before the horizon, on the calendar at its ready instant and reports
+// whether it did. Streams with
+// an explicit Releases list follow it verbatim (no synthetic jitter: the
+// listed instants are real arrival times); otherwise the periodic
+// Offset + n·Period pattern applies. The calendar priority is the
+// stream's index in the network, so same-instant releases fire in
+// master, stream, release order.
+func (s *simulator) scheduleNextRelease(m *masterState, si int) bool {
+	st := &m.cfg.Streams[si]
+	c := &m.releases[si]
+	n := c.next
 	var nominal Ticks
 	if st.Releases != nil {
 		if n >= int64(len(st.Releases)) {
-			return
+			return false
 		}
 		nominal = st.Releases[n]
-		if nominal >= s.cfg.Horizon {
-			return
-		}
-		s.scheduleArrival(m, si, n, nominal, nominal)
-		return
+	} else {
+		nominal = st.Offset + Ticks(n)*st.Period
 	}
-	nominal = st.Offset + Ticks(n)*st.Period
 	if nominal >= s.cfg.Horizon {
-		return
+		return false
 	}
-	var jit Ticks
-	if st.Jitter > 0 {
+	ready := nominal
+	if st.Releases == nil && st.Jitter > 0 {
 		switch s.cfg.Jitter {
 		case JitterRandom:
-			jit = Ticks(s.rng.Int63n(int64(st.Jitter) + 1))
+			ready += s.jitter[c.jitter+int(n)]
 		case JitterAdversarial:
 			if n == 0 {
-				jit = st.Jitter
+				ready += st.Jitter
 			}
 		}
 	}
-	ready := nominal + jit
-	s.scheduleArrival(m, si, n, nominal, ready)
-}
-
-// scheduleArrival enqueues the release event and recurses to the next
-// release of the stream. Readiness is the event time itself, so the
-// payload only carries the nominal release.
-func (s *simulator) scheduleArrival(m *masterState, si int, n int64, nominal, ready Ticks) {
-	s.eng.SchedulePayload(ready, 0, des.Payload{
-		Kind: evArrival, X: int32(m.idx), Y: int32(si), A: nominal,
+	c.next++
+	s.eng.SchedulePayload(ready, m.firstStream+si, des.Payload{
+		X: int32(m.idx), Y: int32(si), A: nominal,
 	})
-	s.scheduleRelease(m, si, n+1)
+	return true
 }
 
 // onArrival delivers a released request into the master's queues.
 func (s *simulator) onArrival(m *masterState, si int, nominal Ticks) {
-	ready := s.eng.Now()
+	ready := s.now
 	st := m.cfg.Streams[si]
 	m.stats.PerStream[si].Released++
 	if st.High {
@@ -355,7 +459,7 @@ func (s *simulator) onArrival(m *masterState, si int, nominal Ticks) {
 
 // onTokenArrival implements the paper's run-time listing at station k.
 func (s *simulator) onTokenArrival(m *masterState) {
-	now := s.eng.Now()
+	now := s.now
 	trr := now - m.lastArrival
 	m.lastArrival = now
 	m.stats.TokenArrivals++
@@ -380,7 +484,7 @@ func (s *simulator) onTokenArrival(m *masterState) {
 // remainingTTH returns the token-holding budget left at the current
 // instant (negative when the token was late or the budget is spent).
 func (s *simulator) remainingTTH(m *masterState) Ticks {
-	return m.tth - (s.eng.Now() - m.tokenArrival)
+	return m.tth - (s.now - m.tokenArrival)
 }
 
 // step advances the master's token-holding state machine; it runs at
@@ -474,7 +578,7 @@ func (s *simulator) executeCycle(m *masterState, r request, high bool) {
 	if remainingAtStart > 0 && dur > remainingAtStart {
 		flags |= flagOverrun
 	}
-	s.eng.SchedulePayloadAfter(dur, des.Payload{
+	s.setBus(s.now+dur, des.Payload{
 		Kind: evCycleDone, X: int32(m.idx), Y: int32(r.stream),
 		A: r.nominal, Z: int32(retries), Flags: flags,
 	})
@@ -493,18 +597,18 @@ func (s *simulator) onCycleDone(m *masterState, stream int, nominal Ticks, retri
 	failed := flags&flagFailed != 0
 	if s.cfg.RecordTrace || st.Trace {
 		stats.Trace = append(stats.Trace,
-			CompletionRecord{Release: nominal, Completed: s.eng.Now(), Failed: failed})
+			CompletionRecord{Release: nominal, Completed: s.now, Failed: failed})
 	}
 	if failed {
 		stats.Failed++
 	} else {
 		stats.Completed++
-		resp := s.eng.Now() - nominal
+		resp := s.now - nominal
 		if resp > stats.WorstResponse {
 			stats.WorstResponse = resp
 		}
 		stats.TotalResponse += resp
-		if s.eng.Now() > nominal+st.Deadline {
+		if s.now > nominal+st.Deadline {
 			stats.Missed++
 		}
 	}
@@ -544,7 +648,7 @@ func (s *simulator) executeGapPoll(m *masterState) {
 	if remainingAtStart > 0 && dur > remainingAtStart {
 		flags |= flagOverrun
 	}
-	s.eng.SchedulePayloadAfter(dur, des.Payload{
+	s.setBus(s.now+dur, des.Payload{
 		Kind: evGapDone, X: int32(m.idx), Flags: flags,
 	})
 }
@@ -553,7 +657,7 @@ func (s *simulator) executeGapPoll(m *masterState) {
 func (s *simulator) passToken(m *masterState) {
 	s.res.TokenPasses++
 	next := (m.idx + 1) % len(s.masters)
-	s.eng.SchedulePayloadAfter(s.cfg.Bus.TokenPassTicks(), des.Payload{
+	s.setBus(s.now+s.cfg.Bus.TokenPassTicks(), des.Payload{
 		Kind: evToken, X: int32(next),
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"profirt/internal/ap"
+	"profirt/internal/des"
 	"profirt/internal/fdl"
 )
 
@@ -425,4 +426,17 @@ func TestJitterRandomOvertaking(t *testing.T) {
 	if got := res.PerMaster[0].PerStream[0].Released; got != want {
 		t.Errorf("released %d, want %d", got, want)
 	}
+}
+
+// The bus carries one frame exchange at a time: a second pending bus
+// event is a modelling bug and panics.
+func TestSecondBusEventPanics(t *testing.T) {
+	var s simulator
+	s.setBus(10, des.Payload{Kind: evToken})
+	defer func() {
+		if recover() == nil {
+			t.Error("setting a second pending bus event did not panic")
+		}
+	}()
+	s.setBus(20, des.Payload{Kind: evToken})
 }
