@@ -157,7 +157,11 @@
 // fixed-point iterations and the holistic per-master state run on
 // sync.Pool-backed scratch buffers; the PROFIBUS simulator and the DES
 // core pool event and trace storage across trials with explicit Reset
-// paths (value-typed event heap, head-indexed FIFO queues); cache keys
+// paths (value-typed event heap, head-indexed FIFO queues); the
+// simulator's calendar holds only each stream's next max(1, ⌈J/P⌉)
+// releases, with jitter drawn up front, while the one pending bus event
+// (token pass, cycle or GAP poll) waits in a slot outside it, so its
+// depth follows the streams, not the horizon; cache keys
 // are screened by a commutative FNV-1a pre-hash and a per-shard
 // counting filter, so a guaranteed miss skips the canonical sort and
 // SHA-256 entirely; AnalyzeHolistic and AnalyzeTopology memoize whole

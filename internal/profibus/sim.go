@@ -248,6 +248,7 @@ func Simulate(cfg Config) (Result, error) {
 		s.now, s.busSet = s.busAt, false
 		s.fireBus(s.bus)
 	}
+	// Releases after the last bus event before the horizon still arrive.
 	s.eng.Run(cfg.Horizon)
 	s.censorPending()
 
