@@ -34,11 +34,10 @@
 //     HolisticConfig.Cache; results are
 //     byte-identical with or without a cache (property-tested), the
 //     table is sharded and safe to share between concurrent callers,
-//     and memory is bounded with random-replacement eviction. An
-//     optional hit-rate policy (AnalysisCache.SetAutoDisable) latches
-//     the cache off after a configurable number of lookups below a
-//     hit-rate threshold, so all-distinct batches stop paying for key
-//     hashing entirely;
+//     and memory is bounded with random-replacement eviction. Every
+//     lookup builds the canonical SHA-256 key, probes the table once
+//     and stores the result on a miss, so leave the cache nil for
+//     one-shot all-distinct batches;
 //   - batch simulation: Engine.SimulateBatch fans many independent
 //     network simulations across the shared bounded worker pool with
 //     per-run seeds Seed ⊕ FNV-1a(index), so a batch is a pure
@@ -129,7 +128,7 @@
 // returns full results or ErrEngineClosed, never a panic or a partial
 // batch. Close is idempotent. Stats snapshots the shared machinery
 // (pool occupancy and queue depth, per-method call counters, cache
-// hits/misses/auto-disable, store size and compactions) at any time,
+// hits/misses/evictions, store size and compactions) at any time,
 // including after Close.
 //
 // # Serving the Engine
@@ -161,20 +160,16 @@
 // simulator's calendar holds only each stream's next max(1, ⌈J/P⌉)
 // releases, with jitter drawn up front, while the one pending bus event
 // (token pass, cycle or GAP poll) waits in a slot outside it, so its
-// depth follows the streams, not the horizon; cache keys
-// are screened by a commutative FNV-1a pre-hash and a per-shard
-// counting filter, so a guaranteed miss skips the canonical sort and
-// SHA-256 entirely; AnalyzeHolistic and AnalyzeTopology memoize whole
-// deep-copied results keyed on the full configuration; and the
-// experiment harness arms the cache's hit-rate auto-disable before any
-// key is hashed, so all-distinct sweeps shed the cache instead of
-// paying for it. `make bench` doubles as the perf guard, comparing
-// ns/op and allocs/op per benchmark against the committed
-// BENCH_results.json baseline (fail past 20% regression) and enforcing
-// that the cached experiments suite is never slower than the
-// sequential one and that the instrumented Engine stays within the
-// observability overhead budget. See the README's "Performance"
-// section.
+// depth follows the streams, not the horizon; DM/EDF cache keys are
+// built from a pooled encode buffer with sha256.Sum256, without
+// allocating; and AnalyzeHolistic and AnalyzeTopology memoize whole
+// deep-copied results keyed on the full configuration. `make bench`
+// doubles as the perf guard, comparing ns/op and allocs/op per
+// benchmark against the committed BENCH_results.json baseline (fail
+// past 20% regression) and enforcing that the cached experiments suite
+// is never slower than the sequential one and that the instrumented
+// Engine stays within the observability overhead budget. See the
+// README's "Performance" section.
 //
 // # Observability
 //

@@ -289,8 +289,8 @@ type EngineLatencyStats struct {
 	// PoolRun is the execution time of every pool job, worker-run or
 	// inline.
 	PoolRun LatencySnapshot `json:"poolRun"`
-	// CacheLookup times analysis-cache probes (lookups the counting
-	// pre-filter resolves without probing are not timed).
+	// CacheLookup times a uniform sample of analysis-cache probes: one
+	// in every 16 lookups, hit or miss.
 	CacheLookup LatencySnapshot `json:"cacheLookup"`
 	// StoreLookup times result-store probes, lock wait included.
 	StoreLookup LatencySnapshot `json:"storeLookup"`

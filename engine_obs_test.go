@@ -55,6 +55,27 @@ func TestEngineLatencyStats(t *testing.T) {
 	}
 }
 
+// TestCacheLookupSampledOnColdMisses: every cache lookup, miss or hit,
+// goes through the sampled probe, so a cold batch of all-distinct
+// networks times exactly one lookup in every 16.
+func TestCacheLookupSampledOnColdMisses(t *testing.T) {
+	nets := equivNets(229, 64, 1)
+	cache := profirt.NewAnalysisCache(0)
+	eng := profirt.NewEngine(profirt.WithParallelism(2), profirt.WithCache(cache))
+	defer eng.Close()
+	if _, err := eng.AnalyzeNetworks(context.Background(), nets, profirt.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	lookups := st.Hits + st.Misses
+	if lookups < 16 {
+		t.Fatalf("only %d cache lookups; the batch is too small to sample", lookups)
+	}
+	if got, want := eng.Stats().Latency.CacheLookup.Count, uint64(lookups/16); got != want {
+		t.Fatalf("CacheLookup.Count = %d, want %d (one in 16 of %d lookups; stats %+v)", got, want, lookups, st)
+	}
+}
+
 func TestEngineObservabilityOff(t *testing.T) {
 	nets := equivNets(223, 8, 1)
 	eng := profirt.NewEngine(profirt.WithParallelism(2), profirt.WithObservability(false))

@@ -37,29 +37,10 @@ func cellRNG(cfg Config, experimentID string, cell int) *rand.Rand {
 	return rand.New(rand.NewSource(cellSeed(cfg.Seed, experimentID, cell)))
 }
 
-// Auto-disable thresholds armed on any cache threaded into an
-// experiments run: most drivers analyse per-trial random stream sets,
-// so the hit rate on those grids is near zero and every lookup would
-// pay hashing plus a map probe for nothing. Once the cache has seen
-// cacheAutoDisableLookups lookups of the current arming window at a
-// hit rate below cacheAutoDisableHitRate it latches off and the
-// wrappers bypass it before any key work. Workloads with real reuse
-// (repeated cells, warm reruns, the holistic whole-result hits) clear
-// the rate bar and keep their cache.
-const (
-	cacheAutoDisableLookups = 512
-	cacheAutoDisableHitRate = 0.05
-)
-
 // runJobs is the pool entry shared by the cell and trial fan-outs: it
 // evaluates fn(i) for every i in [0, n) on the configured pool and
 // streams one ProgressEvent per completed job to cfg.Progress when set.
 func runJobs(cfg Config, experimentID string, n int, fn func(i int)) {
-	// Armed before the first job hashes a key. Arming is scoped per
-	// fan-out: each submission opens a fresh hit-rate window and clears
-	// any latch a previous cold sweep tripped, so a shared long-lived
-	// engine cache keeps serving hot submitters after a cold one.
-	cfg.Cache.ArmAutoDisable(cacheAutoDisableLookups, cacheAutoDisableHitRate)
 	prog := cfg.Progress
 	var done atomic.Int64
 	cfg.Pool.RunJobs(cfg.Context, 0, n, func(_ context.Context, i int) {

@@ -145,19 +145,19 @@ func Analyze(cfg Config) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if cfg.Cache.Disabled() {
+	if cfg.Cache == nil {
 		return analyze(cfg, maxIter), nil
 	}
 	e := memo.GetEnc()
 	defer memo.PutEnc(e)
 	encodeConfig(e, cfg, maxIter)
-	if v, tok, ok := cfg.Cache.LookupEncoded(memo.KindHolistic, e); ok {
+	key := memo.EncKey(memo.KindHolistic, e)
+	if v, ok := cfg.Cache.Get(key); ok {
 		return v.(Result).clone(), nil
-	} else {
-		res := analyze(cfg, maxIter)
-		cfg.Cache.StoreEncoded(tok, e, res.clone())
-		return res, nil
 	}
+	res := analyze(cfg, maxIter)
+	cfg.Cache.Put(key, res.clone())
+	return res, nil
 }
 
 // encodeConfig writes the full analysed configuration in a fixed

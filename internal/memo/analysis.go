@@ -12,17 +12,12 @@ import (
 // "caching disabled", in which case it is a plain delegation to core —
 // the higher layers (Engine.AnalyzeNetworks, topology.Analyze,
 // holistic.Analyze, the experiment drivers) call these mirrors
-// unconditionally and let the cache pointer decide. A cache whose
-// hit-rate auto-disable latch has tripped (Cache.SetAutoDisable) is
-// bypassed the same way — before any key is hashed — so an
-// all-distinct batch degrades to the uncached cost.
+// unconditionally and let the cache pointer decide.
 //
-// Lookup order on the hot path: the cheap commutative FNV pre-hash is
-// computed first and checked against the counting pre-filter. A
-// guaranteed miss runs the analysis directly on the caller's stream
-// order (trivially byte-identical to the uncached call) and only then
-// canonicalizes once, to store the entry; SHA-256 and the sort run on
-// the lookup side only when the filter reports a possible hit.
+// A memoized call builds the canonical ordering and SHA-256 key
+// (keyScratch.build), probes the table with Get, and on a miss runs
+// the analysis on the canonical order, stores that result with Put and
+// maps it back to the caller's order.
 //
 // The FCFS bound (Eq. 11) is intentionally never cached: it is the
 // closed form nh·T_cycle, cheaper than a hash.
@@ -61,35 +56,16 @@ func unpermute(canonical []Ticks, perm []int) []Ticks {
 
 // cachedResponseTimes is the shared lookup/store flow behind the DM
 // and EDF wrappers. analyze must be the pure per-order analysis; it is
-// invoked on the caller's order for guaranteed misses and on the
-// canonical order otherwise (sound either way by the permutation-
-// equivariance argument in key.go). When ctx carries an obs.Tracer
-// the whole memoized call records a memo.lookup span (arg = stream
-// count) — cheap hits and recompute-on-miss then separate visibly in
-// trace exports. ctx is observational only: it never cancels or
-// otherwise influences the analysis, so results stay byte-identical
-// with and without tracing.
+// invoked on the canonical order (sound by the permutation-equivariance
+// argument in key.go). When ctx carries an obs.Tracer the whole
+// memoized call records a memo.lookup span (arg = stream count) —
+// cheap hits and recompute-on-miss then separate visibly in trace
+// exports. ctx is observational only: it never cancels or otherwise
+// influences the analysis, so results stay byte-identical with and
+// without tracing.
 func cachedResponseTimes(ctx context.Context, c *Cache, kind Kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
 	_, sp := obs.StartSpanArg(ctx, "memo.lookup", int64(len(streams)))
 	defer sp.End()
-	pre := streamSetPre(kind, tcycle, opts, streams)
-	if !c.mayContain(pre) {
-		// Guaranteed miss: no resident entry can match, so skip the
-		// sort and SHA-256 on the lookup side and return the direct
-		// result. The canonical permutation is still built once, to
-		// store the entry where permuted callers will find it.
-		c.countMiss()
-		res := analyze(streams)
-		sc := keyScratchPool.Get().(*keyScratch)
-		key := sc.build(kind, tcycle, opts, streams, orderSensitive)
-		stored := make([]Ticks, len(res))
-		for i, p := range sc.perm {
-			stored[p] = res[i]
-		}
-		keyScratchPool.Put(sc)
-		c.putPre(key, pre, stored)
-		return res
-	}
 	sc := keyScratchPool.Get().(*keyScratch)
 	key := sc.build(kind, tcycle, opts, streams, orderSensitive)
 	if v, ok := c.Get(key); ok {
@@ -100,7 +76,7 @@ func cachedResponseTimes(ctx context.Context, c *Cache, kind Kind, streams []cor
 	res := analyze(sc.canon)
 	out := unpermute(res, sc.perm)
 	keyScratchPool.Put(sc)
-	c.putPre(key, pre, res)
+	c.Put(key, res)
 	return out
 }
 
@@ -116,7 +92,7 @@ func DMResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.DM
 // memoized call. Results are identical to DMResponseTimes for every
 // ctx, including nil.
 func DMResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
-	if c.Disabled() || len(streams) == 0 {
+	if c == nil || len(streams) == 0 {
 		return core.DMResponseTimes(streams, tcycle, opts)
 	}
 	w := dmOptsWords(opts)
@@ -132,7 +108,7 @@ func EDFResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.E
 // EDFResponseTimesCtx is EDFResponseTimes with observability threaded
 // through (see DMResponseTimesCtx).
 func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
-	if c.Disabled() || len(streams) == 0 {
+	if c == nil || len(streams) == 0 {
 		return core.EDFResponseTimes(streams, tcycle, opts)
 	}
 	w := edfOptsWords(opts)

@@ -17,12 +17,8 @@
 // results freely. The cache is safe for concurrent use from any number
 // of goroutines: it is sharded, each shard behind its own RWMutex.
 //
-// Lookups are cheap even when they miss: a sharded counting filter
-// over 64-bit FNV-1a pre-hashes fronts the table, so a lookup whose
-// pre-hash has no resident entry is declared a miss before the
-// canonical ordering is built or the SHA-256 key is computed. Only
-// possible hits (and the occasional filter false positive) pay for
-// the cryptographic key.
+// Every lookup takes one path: the canonical SHA-256 key (key.go or
+// EncKey), a Get on the sharded table, and a Put on a miss.
 //
 // Memory is bounded: New(maxEntries) caps the total entry count
 // (default 1<<16 entries; a cached value is one []Ticks of the stream
@@ -30,13 +26,11 @@
 // full shard evicts an arbitrary resident entry per insert —
 // random replacement, not LRU, because eviction only ever costs a
 // recomputation, never correctness, and random replacement needs no
-// per-hit bookkeeping on the hot read path. Each entry remembers its
-// pre-hash so eviction keeps the filter counts exact.
+// per-hit bookkeeping on the hot read path.
 package memo
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,25 +49,9 @@ const shardCount = 64
 // defaultMaxEntries bounds a cache built with New(0).
 const defaultMaxEntries = 1 << 16
 
-// entry is one resident value plus the pre-hash it was registered
-// under in the counting filter (0 when inserted without one, via the
-// plain Put path; such entries are simply invisible to the filter and
-// at worst cost a recomputation).
-type entry struct {
-	v   any
-	pre uint64
-}
-
 type shard struct {
 	mu sync.RWMutex
-	m  map[Key]entry
-}
-
-// preShard is one shard of the counting pre-filter: how many resident
-// entries were registered under each pre-hash.
-type preShard struct {
-	mu sync.RWMutex
-	m  map[uint64]int32
+	m  map[Key]any
 }
 
 // Cache is a bounded, sharded, content-addressed result table.
@@ -85,24 +63,7 @@ type Cache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
-	// Hit-rate-aware auto-disable (SetAutoDisable / ArmAutoDisable):
-	// once the lookups of the current arming window reach
-	// autoMinLookups with hits/lookups below autoMinHitRate, disabled
-	// latches and the analysis wrappers stop hashing keys entirely —
-	// an all-distinct batch then pays zero cache overhead. The latch is
-	// scoped to the window, not the cache's lifetime: re-arming (each
-	// submission's chokepoint does) opens a fresh window and clears the
-	// latch, so one cold sweep through a shared long-lived cache cannot
-	// permanently kill caching for every later submitter. The
-	// thresholds are atomics so arming is safe while lookups are in
-	// flight; autoMinHitRate holds float64 bits.
-	autoMinLookups atomic.Int64
-	autoMinHitRate atomic.Uint64
-	winHits        atomic.Int64
-	winMisses      atomic.Int64
-	disabled       atomic.Bool
-	shards         [shardCount]shard
-	pre            [shardCount]preShard
+	shards      [shardCount]shard
 	// lat, when set (SetLatency), times a sample of Get probes. An
 	// atomic pointer because an Engine may attach metrics to a cache
 	// already shared with in-flight lookups; sampleTick spreads the
@@ -132,8 +93,7 @@ func New(maxEntries int) *Cache {
 	}
 	c := &Cache{maxPerShard: per}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]entry)
-		c.pre[i].m = make(map[uint64]int32)
+		c.shards[i].m = make(map[Key]any)
 	}
 	return c
 }
@@ -142,140 +102,10 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[binary.LittleEndian.Uint64(k[:8])&(shardCount-1)]
 }
 
-func (c *Cache) preShardFor(p uint64) *preShard {
-	return &c.pre[p&(shardCount-1)]
-}
-
-// SetAutoDisable arms hit-rate-aware auto-disable: once the cache has
-// served at least minLookups Gets within the current arming window
-// with a hit rate strictly below minHitRate, it latches into a
-// disabled state and the analysis wrappers bypass it entirely — no key
-// hashing, no map probes. This turns the cache into a no-cost
-// pass-through on all-distinct batches (where every lookup is a
-// guaranteed miss) while leaving repeated batches untouched. Results
-// are byte-identical either way: disabling only ever trades a hit for
-// a recomputation.
-//
-// minLookups <= 0 or minHitRate <= 0 disarms the policy (the default:
-// a cache built by New never self-disables). SetAutoDisable opens a
-// fresh window and clears a tripped latch, as do Reset and
-// ArmAutoDisable.
-func (c *Cache) SetAutoDisable(minLookups int64, minHitRate float64) {
-	if c == nil {
-		return
-	}
-	c.autoMinHitRate.Store(math.Float64bits(minHitRate))
-	c.autoMinLookups.Store(minLookups)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
-}
-
-// ArmAutoDisable arms the hit-rate policy for one submission's window:
-// it installs the thresholds, zeroes the window's hit/miss counters and
-// clears a tripped latch, so the policy judges each submission's
-// workload on its own lookups. This is the chokepoint form every
-// fan-out calls before its first key hash — on a shared long-lived
-// cache (one Engine serving many clients) a cold all-distinct sweep
-// trips the latch for the remainder of that sweep only; the next
-// submission re-arms and a hot workload regains its hits from the
-// still-resident entries. Safe to call concurrently with lookups and
-// with itself: a concurrent re-arm only restarts the window, never
-// changes results. Thresholds <= 0 are ignored.
-func (c *Cache) ArmAutoDisable(minLookups int64, minHitRate float64) {
-	if c == nil || minLookups <= 0 || minHitRate <= 0 {
-		return
-	}
-	c.autoMinHitRate.Store(math.Float64bits(minHitRate))
-	c.autoMinLookups.Store(minLookups)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
-}
-
-// Disabled reports whether hit-rate-aware auto-disable has tripped.
-// The analysis wrappers consult it before hashing; callers may too.
-// Safe on a nil receiver (a nil cache is "disabled" by definition).
-func (c *Cache) Disabled() bool {
-	return c == nil || c.disabled.Load()
-}
-
-// noteLookup records one lookup outcome in the current arming window
-// and trips the latch when the window's lookups clear the threshold
-// with too few hits.
-func (c *Cache) noteLookup(hit bool) {
-	lookups := c.autoMinLookups.Load()
-	rate := math.Float64frombits(c.autoMinHitRate.Load())
-	if lookups <= 0 || rate <= 0 || c.disabled.Load() {
-		return
-	}
-	var hits, misses int64
-	if hit {
-		hits = c.winHits.Add(1)
-		misses = c.winMisses.Load()
-	} else {
-		misses = c.winMisses.Add(1)
-		hits = c.winHits.Load()
-	}
-	total := hits + misses
-	if total >= lookups && float64(hits) < rate*float64(total) {
-		c.disabled.Store(true)
-	}
-}
-
-// mayContain consults the counting pre-filter: false means no resident
-// entry was registered under pre, so a lookup is a guaranteed miss and
-// the caller can skip building the canonical key. True only promises a
-// possible hit (the pre-hash is not collision-free and the filter is
-// updated outside the entry shard's lock, so both false positives and
-// transient false negatives occur; either way the SHA-256 keyed table
-// stays the source of truth and results are unaffected).
-func (c *Cache) mayContain(pre uint64) bool {
-	if c == nil {
-		return false
-	}
-	ps := c.preShardFor(pre)
-	ps.mu.RLock()
-	n := ps.m[pre]
-	ps.mu.RUnlock()
-	return n > 0
-}
-
-// countMiss records a lookup the pre-filter resolved as a guaranteed
-// miss, so the auto-disable policy observes the same lookup stream
-// whether or not a SHA key was ever computed.
-func (c *Cache) countMiss() {
-	if c == nil {
-		return
-	}
-	c.misses.Add(1)
-	c.noteLookup(false)
-}
-
-func (c *Cache) preInc(p uint64) {
-	ps := c.preShardFor(p)
-	ps.mu.Lock()
-	ps.m[p]++
-	ps.mu.Unlock()
-}
-
-func (c *Cache) preDec(p uint64) {
-	ps := c.preShardFor(p)
-	ps.mu.Lock()
-	if n := ps.m[p]; n <= 1 {
-		delete(ps.m, p)
-	} else {
-		ps.m[p] = n - 1
-	}
-	ps.mu.Unlock()
-}
-
 // SetLatency attaches lookup-latency instrumentation: one in every
 // lookupSampleEvery subsequent Gets records its duration into m.
 // Observational only — timing never changes what Get returns. m must
-// outlive the cache's use; nil detaches. Lookups the counting
-// pre-filter resolves without reaching Get are not timed (they never
-// probe the table).
+// outlive the cache's use; nil detaches.
 func (c *Cache) SetLatency(m *obs.CacheMetrics) {
 	if c == nil {
 		return
@@ -300,62 +130,39 @@ func (c *Cache) Get(k Key) (any, bool) {
 	}
 	s := c.shardFor(k)
 	s.mu.RLock()
-	e, ok := s.m[k]
+	v, ok := s.m[k]
 	s.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	c.noteLookup(ok)
 	if lm != nil {
 		lm.Lookup.Observe(lm.Clock.Now().Sub(t0))
 	}
-	return e.v, ok
+	return v, ok
 }
 
 // Put stores v under k, evicting an arbitrary resident entry when the
 // shard is full. Concurrent Puts of the same key are benign: the key is
-// content-addressed, so every writer stores an equal value. Safe on a
-// nil receiver (no-op). Entries stored this way are not registered in
-// the pre-filter; the filter-aware wrappers use putPre.
+// content-addressed, so every writer stores an equal value. Stored
+// values must be treated as immutable by every future reader. Safe on a
+// nil receiver (no-op).
 func (c *Cache) Put(k Key, v any) {
-	c.putPre(k, 0, v)
-}
-
-// putPre stores v under k and keeps the counting pre-filter exact:
-// the new entry registers pre (0 = skip), a displaced registration —
-// the evicted victim's, or the replaced entry's when it differs — is
-// decremented.
-func (c *Cache) putPre(k Key, pre uint64, v any) {
 	if c == nil {
 		return
 	}
-	var dropped uint64
 	s := c.shardFor(k)
 	s.mu.Lock()
-	old, resident := s.m[k]
-	if resident {
-		dropped = old.pre
-	} else if len(s.m) >= c.maxPerShard {
-		for victim, ve := range s.m {
+	if _, resident := s.m[k]; !resident && len(s.m) >= c.maxPerShard {
+		for victim := range s.m {
 			delete(s.m, victim)
 			c.evictions.Add(1)
-			dropped = ve.pre
 			break
 		}
 	}
-	s.m[k] = entry{v: v, pre: pre}
+	s.m[k] = v
 	s.mu.Unlock()
-	if dropped == pre {
-		return
-	}
-	if dropped != 0 {
-		c.preDec(dropped)
-	}
-	if pre != 0 {
-		c.preInc(pre)
-	}
 }
 
 // Len returns the number of resident entries.
@@ -381,34 +188,22 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.m = make(map[Key]entry)
+		s.m = make(map[Key]any)
 		s.mu.Unlock()
-		ps := &c.pre[i]
-		ps.mu.Lock()
-		ps.m = make(map[uint64]int32)
-		ps.mu.Unlock()
 	}
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-	c.winHits.Store(0)
-	c.winMisses.Store(0)
-	c.disabled.Store(false)
 }
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	// Hits and Misses count lookup outcomes (including guaranteed
-	// misses the pre-filter resolved without hashing).
+	// Hits and Misses count lookup outcomes.
 	Hits, Misses int64
 	// Evictions counts entries displaced by the memory bound.
 	Evictions int64
 	// Entries is the resident entry count.
 	Entries int
-	// AutoDisabled reports whether the hit-rate policy (SetAutoDisable)
-	// has latched the cache off. Hits/Misses stop advancing then: the
-	// wrappers no longer consult the cache at all.
-	AutoDisabled bool
 }
 
 // Stats snapshots the counters. Safe on a nil receiver (all zero).
@@ -417,10 +212,9 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Evictions:    c.evictions.Load(),
-		Entries:      c.Len(),
-		AutoDisabled: c.disabled.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   c.Len(),
 	}
 }

@@ -56,82 +56,14 @@ func (e *Enc) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// EncToken carries the hashes LookupEncoded computed, so the matching
-// StoreEncoded call never re-derives them. The zero token is valid for
-// a store against a nil/never-probed cache (StoreEncoded re-hashes as
-// needed).
-type EncToken struct {
-	kind   Kind
-	pre    uint64
-	key    Key
-	hashed bool
-}
-
-// encPre is the pre-filter hash of an encoded configuration: mix
-// rounds over the buffer eight bytes at a time; the ragged tail is
-// zero-padded and followed by its byte count, so a buffer ending in
-// literal zero bytes cannot alias the padding.
-func encPre(kind Kind, buf []byte) uint64 {
-	h := mixWord(preSeed, uint64(kind))
-	for len(buf) >= 8 {
-		h = mixWord(h, binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	if len(buf) > 0 {
-		var tail [8]byte
-		copy(tail[:], buf)
-		h = mixWord(h, binary.LittleEndian.Uint64(tail[:]))
-	}
-	return mixWord(h, uint64(len(buf)))
-}
-
-// encKey is the content address of an encoded configuration. The
-// version and kind prefix mirrors the stream-set key layout, so the
+// EncKey is the content address of kind and an encoded configuration.
+// The version and kind prefix mirrors the stream-set key layout, so the
 // two key families share one table without colliding.
-func encKey(kind Kind, e *Enc) Key {
+func EncKey(kind Kind, e *Enc) Key {
 	h := sha256.New()
 	h.Write([]byte{keyVersion, byte(kind)})
 	h.Write(e.buf)
 	var k Key
 	h.Sum(k[:0])
 	return k
-}
-
-// LookupEncoded probes the cache for the value stored under kind and
-// the encoded configuration. The counting pre-filter resolves
-// guaranteed misses before the SHA-256 key is computed; the returned
-// token carries whatever hashes were derived so StoreEncoded never
-// recomputes them. Lookups count toward the auto-disable policy like
-// every other cache access. Safe on a nil receiver (always a miss).
-func (c *Cache) LookupEncoded(kind Kind, e *Enc) (any, EncToken, bool) {
-	tok := EncToken{kind: kind}
-	if c == nil {
-		return nil, tok, false
-	}
-	tok.pre = encPre(kind, e.buf)
-	if !c.mayContain(tok.pre) {
-		c.countMiss()
-		return nil, tok, false
-	}
-	tok.key = encKey(kind, e)
-	tok.hashed = true
-	v, ok := c.Get(tok.key)
-	return v, tok, ok
-}
-
-// StoreEncoded stores v under the configuration probed by the matching
-// LookupEncoded call. Stored values must be treated as immutable by
-// every future reader: callers store (and return) deep copies of
-// result structures. Safe on a nil receiver (no-op).
-func (c *Cache) StoreEncoded(tok EncToken, e *Enc, v any) {
-	if c == nil {
-		return
-	}
-	if tok.pre == 0 {
-		tok.pre = encPre(tok.kind, e.buf)
-	}
-	if !tok.hashed {
-		tok.key = encKey(tok.kind, e)
-	}
-	c.putPre(tok.key, tok.pre, v)
 }

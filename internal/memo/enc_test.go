@@ -2,14 +2,14 @@ package memo
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"profirt/internal/core"
 )
 
-// TestEncodedLookupRoundTrip: StoreEncoded must make the identical
-// encoding hit, distinct encodings and distinct kinds must miss.
+// TestEncodedLookupRoundTrip: a Put under EncKey must make the
+// identical encoding hit; distinct encodings and distinct kinds must
+// miss.
 func TestEncodedLookupRoundTrip(t *testing.T) {
 	c := New(0)
 	enc := func(words ...uint64) *Enc {
@@ -21,44 +21,45 @@ func TestEncodedLookupRoundTrip(t *testing.T) {
 	}
 
 	e1 := enc(1, 2, 3)
-	if v, _, ok := c.LookupEncoded(KindHolistic, e1); ok {
+	if v, ok := c.Get(EncKey(KindHolistic, e1)); ok {
 		t.Fatalf("empty cache hit: %v", v)
 	}
-	_, tok, _ := c.LookupEncoded(KindHolistic, e1)
-	c.StoreEncoded(tok, e1, "hol")
-	if v, _, ok := c.LookupEncoded(KindHolistic, e1); !ok || v != "hol" {
+	c.Put(EncKey(KindHolistic, e1), "hol")
+	if v, ok := c.Get(EncKey(KindHolistic, e1)); !ok || v != "hol" {
 		t.Fatalf("stored encoding missed: %v %v", v, ok)
 	}
 	// Same bytes, different kind: must not collide.
-	if v, _, ok := c.LookupEncoded(KindTopology, e1); ok {
+	if v, ok := c.Get(EncKey(KindTopology, e1)); ok {
 		t.Fatalf("kind collision: %v", v)
 	}
 	// Different bytes: miss.
 	e2 := enc(1, 2, 4)
-	if _, _, ok := c.LookupEncoded(KindHolistic, e2); ok {
+	if _, ok := c.Get(EncKey(KindHolistic, e2)); ok {
 		t.Fatal("distinct encoding hit")
 	}
 	PutEnc(e1)
 	PutEnc(e2)
-
-	// A token from a filter-short-circuited lookup (no SHA computed)
-	// must still store correctly.
-	e3 := enc(9, 9)
-	_, tok3, ok := c.LookupEncoded(KindTopology, e3)
-	if ok {
-		t.Fatal("fresh encoding hit")
-	}
-	c.StoreEncoded(tok3, e3, 42)
-	if v, _, ok := c.LookupEncoded(KindTopology, e3); !ok || v != 42 {
-		t.Fatalf("store after guaranteed miss failed: %v %v", v, ok)
-	}
-	PutEnc(e3)
 }
 
-// TestPreFilterGuaranteedMissCountsLookup: lookups the pre-filter
-// resolves without hashing must still advance the miss counter, so the
-// auto-disable policy sees the full lookup stream.
-func TestPreFilterGuaranteedMissCountsLookup(t *testing.T) {
+// autoStreams draws n random streams; distinct draws almost never
+// repeat a stream set, so lookups on them are all-distinct misses.
+func autoStreams(rng *rand.Rand, n int) []core.Stream {
+	streams := make([]core.Stream, n)
+	for i := range streams {
+		T := core.Ticks(50_000 + rng.Intn(200_000))
+		streams[i] = core.Stream{
+			Ch: core.Ticks(200 + rng.Intn(400)),
+			D:  T - core.Ticks(rng.Intn(10_000)),
+			T:  T,
+			J:  core.Ticks(rng.Intn(2_000)),
+		}
+	}
+	return streams
+}
+
+// TestCacheMissCountsAndStores: every all-distinct lookup counts as
+// exactly one miss and stores one entry.
+func TestCacheMissCountsAndStores(t *testing.T) {
 	c := New(0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
@@ -73,11 +74,10 @@ func TestPreFilterGuaranteedMissCountsLookup(t *testing.T) {
 	}
 }
 
-// TestPreFilterSurvivesEviction: with a tiny cache the filter counts
-// must track evictions, so re-queries of evicted sets recompute (and
-// re-insert) instead of spuriously "hitting" stale pre-hashes; results
-// stay identical throughout.
-func TestPreFilterSurvivesEviction(t *testing.T) {
+// TestCacheEvictionChurnMatchesUncached: with a tiny cache, re-queries
+// of evicted sets recompute (and re-insert), and results stay
+// identical to the uncached analysis throughout.
+func TestCacheEvictionChurnMatchesUncached(t *testing.T) {
 	c := New(1) // one entry per shard: heavy eviction traffic
 	rng := rand.New(rand.NewSource(5))
 	sets := make([][]core.Stream, 300)
@@ -95,71 +95,5 @@ func TestPreFilterSurvivesEviction(t *testing.T) {
 				t.Fatalf("set %d diverged after eviction churn", i)
 			}
 		}
-	}
-	// The filter must not have leaked counts past the entry bound:
-	// every resident entry holds one registration, so the total count
-	// across filter shards is bounded by the entry count.
-	total := int32(0)
-	for i := range c.pre {
-		ps := &c.pre[i]
-		ps.mu.RLock()
-		for _, n := range ps.m {
-			total += n
-		}
-		ps.mu.RUnlock()
-	}
-	if got := int32(c.Len()); total != got {
-		t.Fatalf("filter registrations (%d) out of sync with resident entries (%d)", total, got)
-	}
-}
-
-// TestArmAutoDisableWindowScoped: arming opens a fresh hit-rate
-// window — a latch tripped by a cold all-distinct sweep clears on the
-// next submission's arm, so a shared long-lived cache keeps serving
-// later submitters.
-func TestArmAutoDisableWindowScoped(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := New(0)
-	c.ArmAutoDisable(10, 0.5)
-	for i := 0; i < 50; i++ {
-		DMResponseTimes(c, autoStreams(rng, 4), 2_500, core.DMOptions{})
-	}
-	if !c.Disabled() {
-		t.Fatal("armed cache did not trip on an all-distinct workload")
-	}
-	c.ArmAutoDisable(10, 0.5)
-	if c.Disabled() {
-		t.Fatal("re-arming did not clear the tripped latch")
-	}
-	// SetAutoDisable re-arms the same way.
-	c.SetAutoDisable(10, 0.5)
-	if c.Disabled() {
-		t.Fatal("SetAutoDisable did not clear the latch")
-	}
-
-	var nilCache *Cache
-	nilCache.ArmAutoDisable(1, 1) // must not panic
-}
-
-// TestArmAutoDisableConcurrent arms from many goroutines while
-// lookups are in flight; under -race this is the data-race gate for
-// the per-submission arming chokepoint.
-func TestArmAutoDisableConcurrent(t *testing.T) {
-	c := New(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			c.ArmAutoDisable(20, 0.1)
-			for i := 0; i < 100; i++ {
-				DMResponseTimes(c, autoStreams(rng, 4), 2_500, core.DMOptions{})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if !c.Disabled() {
-		t.Fatal("concurrently armed cache never tripped on all-distinct lookups")
 	}
 }

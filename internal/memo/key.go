@@ -35,55 +35,6 @@ const (
 // semantics change, invalidating every previously computed address.
 const keyVersion = 1
 
-// preSeed is the pre-hash starting state (the FNV-1a 64-bit offset
-// basis, kept for familiarity — the mix rounds are not FNV).
-const preSeed = 14695981039346656037
-
-// mixWord folds one 64-bit word into the pre-hash state with a
-// multiply–xorshift round (splitmix64's finalizer structure): one
-// multiply per word where byte-wise FNV-1a needs eight, which matters
-// because the pre-hash runs on every lookup, hit or miss. The pre-hash
-// never leaves the process and never enters the SHA-256 key, so its
-// only quality bar is filter-grade dispersion.
-func mixWord(h, v uint64) uint64 {
-	h ^= v
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	return h
-}
-
-// streamPre collapses one stream's attribute tuple into a single word
-// (names excluded, matching the canonical key encoding).
-func streamPre(s core.Stream) uint64 {
-	h := mixWord(preSeed, uint64(s.Ch))
-	h = mixWord(h, uint64(s.D))
-	h = mixWord(h, uint64(s.T))
-	return mixWord(h, uint64(s.J))
-}
-
-// streamSetPre is the non-cryptographic pre-hash of one analysis
-// invocation: mix rounds over the order-dependent header (kind,
-// tcycle, opts) combined with a commutative sum over the stream
-// multiset, so every ordering of the same streams maps to the same
-// pre-hash without sorting. The DM ordered fallback (see streamSetKey)
-// produces a different canonical key for the same pre-hash; that is
-// only a false positive in the pre-filter, which SHA-256 then
-// arbitrates.
-func streamSetPre(kind Kind, tcycle Ticks, opts []uint64, streams []core.Stream) uint64 {
-	h := mixWord(preSeed, uint64(kind))
-	h = mixWord(h, uint64(tcycle))
-	h = mixWord(h, uint64(len(opts)))
-	for _, o := range opts {
-		h = mixWord(h, o)
-	}
-	h = mixWord(h, uint64(len(streams)))
-	var set uint64
-	for _, s := range streams {
-		set += streamPre(s)
-	}
-	return mixWord(h, set)
-}
-
 // streamLess is the canonical total preorder on normalized streams:
 // (D, T, Ch, J) lexicographically. Names are excluded — they never
 // enter the response-time arithmetic.

@@ -45,9 +45,8 @@ type PoolMetrics struct {
 	Run       Histogram
 }
 
-// CacheMetrics times memo cache probes (Cache.Get). Lookups resolved
-// by the counting pre-filter never reach Get and are not timed — the
-// histogram measures real probe latency, not the fast-path veto.
+// CacheMetrics times a sample of memo cache probes (Cache.Get); every
+// cached analysis lookup goes through Get.
 type CacheMetrics struct {
 	Clock  Clock
 	Lookup Histogram

@@ -212,7 +212,7 @@ func TestServeLoadByteIdentity(t *testing.T) {
 	if m.Engine.Cache.Misses == 0 {
 		t.Fatalf("cache saw no misses: %+v", m.Engine.Cache)
 	}
-	if m.Engine.Cache.Hits == 0 && !m.Engine.Cache.AutoDisabled {
+	if m.Engine.Cache.Hits == 0 {
 		t.Fatalf("repeated identical analyses produced no cache hits: %+v", m.Engine.Cache)
 	}
 	if atomic.LoadInt64(&peakInFlight) == 0 {

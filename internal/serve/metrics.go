@@ -132,7 +132,6 @@ func WritePrometheus(w io.Writer, m Metrics) {
 	counter("profiserve_cache_misses_total", c.Misses, "Analysis cache misses.")
 	counter("profiserve_cache_evictions_total", c.Evictions, "Analysis cache evictions.")
 	gauge("profiserve_cache_entries", c.Entries, "Resident analysis cache entries.")
-	gauge("profiserve_cache_auto_disabled", b01(c.AutoDisabled), "1 while the hit-rate policy has the cache latched off.")
 
 	st := m.Engine.Store
 	gauge("profiserve_store_entries", st.Entries, "Resident result store records.")

@@ -124,7 +124,7 @@ func Analyze(t Topology, opts Options) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	if opts.Cache.Disabled() {
+	if opts.Cache == nil {
 		return analyze(t, opts, maxIter), nil
 	}
 	// Whole-result memoization on the full topology + options encoding
@@ -134,13 +134,13 @@ func Analyze(t Topology, opts Options) (Result, error) {
 	e := memo.GetEnc()
 	defer memo.PutEnc(e)
 	encodeTopology(e, t, opts, maxIter)
-	if v, tok, ok := opts.Cache.LookupEncoded(memo.KindTopology, e); ok {
+	key := memo.EncKey(memo.KindTopology, e)
+	if v, ok := opts.Cache.Get(key); ok {
 		return v.(Result).clone(), nil
-	} else {
-		res := analyze(t, opts, maxIter)
-		opts.Cache.StoreEncoded(tok, e, res.clone())
-		return res, nil
 	}
+	res := analyze(t, opts, maxIter)
+	opts.Cache.Put(key, res.clone())
+	return res, nil
 }
 
 // encodeTopology writes every input that can influence the Result in a
