@@ -7,26 +7,82 @@ import (
 	"profirt/internal/timeunit"
 )
 
-// msgUtilizationAtLeastOne reports Σ tcycle/T_j >= 1 exactly over the
-// given stream indices (nil = all): the message-level load at which the
-// token-cycle-granular fixed points diverge.
-func msgUtilizationAtLeastOne(streams []Stream, indices []int, tcycle Ticks) bool {
-	sum := new(big.Rat)
-	add := func(s Stream) {
-		if s.T > 0 {
-			sum.Add(sum, big.NewRat(int64(tcycle), int64(s.T)))
-		}
+// The message-level load Σ T_cycle/T_j decides divergence: at or above
+// one request per token cycle the token-cycle-granular fixed points
+// never close. The decision must be exact, since a load of exactly 1
+// (periods that are multiples of T_cycle) diverges. A float64 sum
+// settles nearly every load; big.Rat settles the rest.
+//
+// Error bound. Each term fl(fl(T_cycle)/fl(T_j)) takes two int64→float64
+// conversions and one division, each rounding by a relative error of at
+// most u = 2⁻⁵³; the running sum of n terms adds n−1 more. All terms
+// share T_cycle's sign, so the computed sum ŝ of the exact sum s obeys
+// |ŝ−s| ≤ γ_{n+2}·|s| with γ_k = k·u/(1−k·u) ≈ (n+2)·u. The margin is
+// (n+2)·2⁻²⁰, about 2³³ times that bound, so ŝ ≥ 1+margin proves s > 1
+// and ŝ ≤ 1−margin proves s < 1. Only a sum inside the band falls back
+// to the exact sum, so every verdict equals the exact one. The band's
+// width costs little: only a load within a few parts per million of 1
+// pays for big.Rat.
+
+// utilTerm is stream s's float64 message load T_cycle/T (0 for T <= 0,
+// which the exact sum skips too).
+func utilTerm(s Stream, tcycle Ticks) float64 {
+	if s.T <= 0 {
+		return 0
 	}
+	return float64(tcycle) / float64(s.T)
+}
+
+// utilDecided reports whether a float64 sum of up to n utilTerm values
+// settles the load test, and if so whether the load is at least 1.
+func utilDecided(sum float64, n int) (atLeastOne, decided bool) {
+	m := float64(n+2) * 0x1p-20
+	switch {
+	case sum >= 1+m:
+		return true, true
+	case sum <= 1-m:
+		return false, true
+	}
+	return false, false
+}
+
+// exactUtil returns Σ tcycle/T_j in exact rational arithmetic over the
+// given stream indices (nil = all).
+func exactUtil(streams []Stream, indices []int, tcycle Ticks) *big.Rat {
+	sum, term := new(big.Rat), new(big.Rat)
 	if indices == nil {
 		for _, s := range streams {
-			add(s)
+			addUtil(sum, term, s, tcycle)
 		}
 	} else {
 		for _, j := range indices {
-			add(streams[j])
+			addUtil(sum, term, streams[j], tcycle)
 		}
 	}
-	return sum.Cmp(big.NewRat(1, 1)) >= 0
+	return sum
+}
+
+// addUtil adds stream s's exact load T_cycle/T to sum (nothing for
+// T <= 0), using term as scratch.
+func addUtil(sum, term *big.Rat, s Stream, tcycle Ticks) {
+	if s.T > 0 {
+		sum.Add(sum, term.SetFrac64(int64(tcycle), int64(s.T)))
+	}
+}
+
+var ratOne = big.NewRat(1, 1)
+
+// msgUtilizationAtLeastOne reports Σ tcycle/T_j >= 1 exactly over all
+// streams: the float64 filter first, the exact sum inside its band.
+func msgUtilizationAtLeastOne(streams []Stream, tcycle Ticks) bool {
+	var sum float64
+	for _, s := range streams {
+		sum += utilTerm(s, tcycle)
+	}
+	if geq, ok := utilDecided(sum, len(streams)); ok {
+		return geq
+	}
+	return exactUtil(streams, nil, tcycle).Cmp(ratOne) >= 0
 }
 
 // DMOptions tunes the deadline-monotonic message response-time analysis
@@ -78,27 +134,27 @@ func dmHigherPriority(streams []Stream, j, i int) bool {
 }
 
 // dmScratch is the reusable working state of one DMResponseTimes call:
-// the DM priority order, each stream's rank, the per-rank divergence
-// flags from the exact prefix-utilization sweep, and the big.Rat
-// accumulators. Pooled so repeated analyses (the memo layer's misses,
-// the holistic rounds, the topology fixed point) stop re-allocating.
+// the DM priority order, each stream's rank and the per-rank divergence
+// flags from the prefix-utilization sweep. Pooled so repeated analyses
+// (the memo layer's misses, the holistic rounds, the topology fixed
+// point) stop re-allocating.
 type dmScratch struct {
 	order  []int  // stream indices, highest DM priority first
 	pos    []int  // pos[i] = rank of stream i in order
 	hpDiv  []bool // rank k: utilization of order[:k] >= 1 (and k > 0)
 	lvlDiv []bool // rank k: utilization of order[:k+1] >= 1
-	sum    *big.Rat
-	term   *big.Rat
-	one    *big.Rat
 }
 
-var dmScratchPool = sync.Pool{New: func() any {
-	return &dmScratch{sum: new(big.Rat), term: new(big.Rat), one: big.NewRat(1, 1)}
-}}
+var dmScratchPool = sync.Pool{New: func() any { return new(dmScratch) }}
 
 // prepare sizes the scratch, sorts the priority order and evaluates the
-// divergence flags with a single exact prefix-utilization sweep
-// (replacing one O(n) big.Rat summation per stream).
+// divergence flags with a single prefix-utilization sweep: a float64
+// running sum decides each prefix, and a prefix inside the filter's
+// band is decided by the exact sum. The first such prefix seeds the
+// exact sum, and every later stream is added to it as the sweep passes,
+// so however many prefixes fall in the band (a long tail of light
+// streams behind a load near 1), the exact work stays one big.Rat
+// addition per stream.
 func (sc *dmScratch) prepare(streams []Stream, tcycle Ticks) {
 	n := len(streams)
 	if cap(sc.order) < n {
@@ -124,15 +180,23 @@ func (sc *dmScratch) prepare(streams []Stream, tcycle Ticks) {
 			j--
 		}
 	}
-	sc.sum.SetInt64(0)
+	var sum float64
+	var exact, term *big.Rat // exact prefix sum, once seeded
 	for k, idx := range sc.order {
 		sc.pos[idx] = k
 		sc.hpDiv[k] = k > 0 && sc.lvlDiv[k-1]
-		if s := streams[idx]; s.T > 0 {
-			sc.term.SetFrac64(int64(tcycle), int64(s.T))
-			sc.sum.Add(sc.sum, sc.term)
+		sum += utilTerm(streams[idx], tcycle)
+		if exact != nil {
+			addUtil(exact, term, streams[idx], tcycle)
 		}
-		sc.lvlDiv[k] = sc.sum.Cmp(sc.one) >= 0
+		geq, ok := utilDecided(sum, n)
+		if !ok {
+			if exact == nil {
+				exact, term = exactUtil(streams, sc.order[:k+1], tcycle), new(big.Rat)
+			}
+			geq = exact.Cmp(ratOne) >= 0
+		}
+		sc.lvlDiv[k] = geq
 	}
 }
 

@@ -49,7 +49,7 @@ func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 	// cycle units, with one blocking visit: it diverges when the
 	// message utilisation Σ T_cycle/T_j reaches 1 (checked exactly up
 	// front so the iteration never crawls toward a huge horizon).
-	if msgUtilizationAtLeastOne(streams, nil, tcycle) {
+	if msgUtilizationAtLeastOne(streams, tcycle) {
 		for i := range out {
 			out[i] = timeunit.MaxTicks
 		}
@@ -72,12 +72,19 @@ func EDFResponseTimes(streams []Stream, tcycle Ticks, opts EDFOptions) []Ticks {
 	return out
 }
 
-// edfScratch holds the candidate-offset buffer reused across the
-// per-stream evaluations of one EDFResponseTimes call (and, via the
-// pool, across calls): candidate enumeration previously allocated a
-// map plus a slice per stream per call.
+// edfScratch holds the candidate-offset and interference-term buffers
+// reused across the per-stream evaluations of one EDFResponseTimes call
+// (and, via the pool, across calls).
 type edfScratch struct {
 	cands []Ticks
+	terms []edfTerm
+}
+
+// edfTerm is one interfering stream j at one candidate offset a: its
+// jitter and period for the by-rate count 1+⌊(t+J_j)/T_j⌋ and the
+// by-deadline cap 1+⌊(a+D_i−D_j+J_j)/T_j⌋, which does not depend on t.
+type edfTerm struct {
+	jit, per, cap Ticks
 }
 
 var edfScratchPool = sync.Pool{New: func() any { return new(edfScratch) }}
@@ -129,47 +136,68 @@ func edfMessageCandidates(buf []Ticks, streams []Stream, i int, limit Ticks) []T
 	return slices.Compact(out)
 }
 
+// edfMessageResponseOne takes the least fixed point L_i(a) of Eq. 18 at
+// every candidate offset a and returns the largest Eq. 17 bound. Three
+// things keep it cheap without changing a result:
+//   - a stream's deadline cap does not depend on L, so it is computed
+//     once per offset, not once per iteration;
+//   - the W*_i summands (each at least 1) and ⌊a/T_i⌋ count whole token
+//     visits, so their saturating sum is multiplied by T_cycle once;
+//     the blocking visit is added in ticks, since MulSat saturates a
+//     negative product and a counted visit would turn a lone blocking
+//     visit under T_cycle < 0 into MaxTicks;
+//   - the offsets ascend, and while the blocking term stays the same
+//     the right-hand side only grows with a (more streams qualify, caps
+//     and ⌊a/T_i⌋ grow), so the previous offset's fixed point lies at
+//     or below this one's least fixed point and the iteration starts
+//     there. A value accepted without a step is either the blocking
+//     term, which a cold start accepts unchecked as well, or passed an
+//     earlier offset's horizon check, whose limit is no larger.
 func edfMessageResponseOne(streams []Stream, i int, tcycle, busy Ticks, opts EDFOptions, horizon Ticks, sc *edfScratch) Ticks {
 	si := streams[i]
-	var best Ticks
+	var best, l, prevBlocking Ticks
 	sc.cands = edfMessageCandidates(sc.cands, streams, i, busy)
-	for _, a := range sc.cands {
+	for k, a := range sc.cands {
 		adi := a + si.D
 
 		// Blocking: one stack-slot occupant with a later absolute
-		// deadline (or any low-priority request).
+		// deadline (or any low-priority request). Every other stream
+		// interferes, capped by its deadline count at this offset.
 		var blocking Ticks
 		if opts.BlockingFromLowPriority {
 			blocking = tcycle
-		} else {
-			for j, s := range streams {
-				if j != i && s.D-s.J > adi {
-					blocking = tcycle
-					break
-				}
-			}
 		}
-
-		earlier := timeunit.MulSat(timeunit.FloorDiv(a, si.T), tcycle)
-
-		l := blocking
-		for {
-			var w Ticks
-			for j, s := range streams {
-				if j == i || s.D-s.J > adi {
-					continue
-				}
-				byRate := 1 + timeunit.FloorDiv(l+s.J, s.T)
-				byDeadline := 1 + timeunit.FloorDiv(adi-s.D+s.J, s.T)
-				w = timeunit.AddSat(w,
-					timeunit.MulSat(timeunit.Min(byRate, byDeadline), tcycle))
+		terms := sc.terms[:0]
+		for j, s := range streams {
+			if j == i {
+				continue
 			}
-			next := timeunit.AddSat(timeunit.AddSat(blocking, w), earlier)
+			if s.D-s.J > adi {
+				blocking = tcycle
+				continue
+			}
+			terms = append(terms, edfTerm{jit: s.J, per: s.T, cap: 1 + timeunit.FloorDiv(adi-s.D+s.J, s.T)})
+		}
+		sc.terms = terms
+
+		earlier := timeunit.FloorDiv(a, si.T)
+		if k == 0 || blocking != prevBlocking {
+			l = blocking
+		}
+		prevBlocking = blocking
+		limit := timeunit.AddSat(horizon, a)
+		for {
+			visits := earlier
+			for _, t := range terms {
+				visits = timeunit.AddSat(visits,
+					timeunit.Min(1+timeunit.FloorDiv(l+t.jit, t.per), t.cap))
+			}
+			next := timeunit.AddSat(blocking, timeunit.MulSat(visits, tcycle))
 			if next == l {
 				break
 			}
 			l = next
-			if l > timeunit.AddSat(horizon, a) || l == timeunit.MaxTicks {
+			if l > limit || l == timeunit.MaxTicks {
 				return timeunit.MaxTicks
 			}
 		}

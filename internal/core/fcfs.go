@@ -42,7 +42,7 @@ type StreamVerdict struct {
 func FCFSSchedulable(n Network) (bool, []StreamVerdict) {
 	tc := n.TokenCycle()
 	ok := true
-	var out []StreamVerdict
+	out := n.verdictBuf()
 	for _, m := range n.Masters {
 		r := FCFSResponseTime(m, tc)
 		for _, s := range m.High {

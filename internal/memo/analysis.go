@@ -2,6 +2,7 @@ package memo
 
 import (
 	"context"
+	"slices"
 
 	"profirt/internal/core"
 	"profirt/internal/obs"
@@ -44,40 +45,79 @@ func edfOptsWords(o core.EDFOptions) [2]uint64 {
 }
 
 // unpermute maps canonical-order results back to the caller's stream
-// order: out[i] = canonical[perm[i]]. It always allocates, so cached
-// slices are never aliased by callers.
-func unpermute(canonical []Ticks, perm []int) []Ticks {
-	out := make([]Ticks, len(perm))
+// order, out[i] = canonical[perm[i]], writing into dst's backing array
+// when it has room. Cached slices are therefore never aliased by
+// callers.
+func unpermute(dst, canonical []Ticks, perm []int) []Ticks {
+	out := slices.Grow(dst[:0], len(perm))[:len(perm)]
 	for i, p := range perm {
 		out[i] = canonical[p]
 	}
 	return out
 }
 
-// cachedResponseTimes is the shared lookup/store flow behind the DM
-// and EDF wrappers. analyze must be the pure per-order analysis; it is
-// invoked on the canonical order (sound by the permutation-equivariance
+// lookups is one caller's key scratch and result buffer, reused across
+// consecutive memoized calls — the masters of one network — so the
+// scratch pool round trip and the caller-order result slice are paid
+// once per network, not once per master. A result returned by a
+// lookups method is overwritten by the next call on the same lookups.
+type lookups struct {
+	sc *keyScratch
+	rs []Ticks
+}
+
+// release returns the key scratch to the pool.
+func (l *lookups) release() {
+	if l.sc != nil {
+		keyScratchPool.Put(l.sc)
+		l.sc = nil
+	}
+}
+
+// responseTimes is the shared lookup/store flow behind the DM and EDF
+// wrappers. analyze must be the pure per-order analysis; it is invoked
+// on the canonical order (sound by the permutation-equivariance
 // argument in key.go). When ctx carries an obs.Tracer the whole
 // memoized call records a memo.lookup span (arg = stream count) —
 // cheap hits and recompute-on-miss then separate visibly in trace
 // exports. ctx is observational only: it never cancels or otherwise
 // influences the analysis, so results stay byte-identical with and
 // without tracing.
-func cachedResponseTimes(ctx context.Context, c *Cache, kind Kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
+func (l *lookups) responseTimes(ctx context.Context, c *Cache, kind Kind, streams []core.Stream, tcycle Ticks, opts []uint64, orderSensitive bool, analyze func([]core.Stream) []Ticks) []Ticks {
 	_, sp := obs.StartSpanArg(ctx, "memo.lookup", int64(len(streams)))
 	defer sp.End()
-	sc := keyScratchPool.Get().(*keyScratch)
-	key := sc.build(kind, tcycle, opts, streams, orderSensitive)
-	if v, ok := c.Get(key); ok {
-		out := unpermute(v.([]Ticks), sc.perm)
-		keyScratchPool.Put(sc)
-		return out
+	if l.sc == nil {
+		l.sc = keyScratchPool.Get().(*keyScratch)
 	}
-	res := analyze(sc.canon)
-	out := unpermute(res, sc.perm)
-	keyScratchPool.Put(sc)
-	c.Put(key, res)
-	return out
+	key := l.sc.build(kind, tcycle, opts, streams, orderSensitive)
+	v, ok := c.Get(key)
+	if !ok {
+		res := analyze(l.sc.canonical(streams))
+		c.Put(key, res)
+		v = res
+	}
+	l.rs = unpermute(l.rs, v.([]Ticks), l.sc.perm)
+	return l.rs
+}
+
+// dm is DMResponseTimesCtx on l.
+func (l *lookups) dm(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
+	if c == nil || len(streams) == 0 {
+		return core.DMResponseTimes(streams, tcycle, opts)
+	}
+	w := dmOptsWords(opts)
+	return l.responseTimes(ctx, c, KindDM, streams, tcycle, w[:], true,
+		func(ss []core.Stream) []Ticks { return core.DMResponseTimes(ss, tcycle, opts) })
+}
+
+// edf is EDFResponseTimesCtx on l.
+func (l *lookups) edf(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
+	if c == nil || len(streams) == 0 {
+		return core.EDFResponseTimes(streams, tcycle, opts)
+	}
+	w := edfOptsWords(opts)
+	return l.responseTimes(ctx, c, KindEDF, streams, tcycle, w[:], false,
+		func(ss []core.Stream) []Ticks { return core.EDFResponseTimes(ss, tcycle, opts) })
 }
 
 // DMResponseTimes is core.DMResponseTimes memoized on c. Results are
@@ -92,12 +132,9 @@ func DMResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.DM
 // memoized call. Results are identical to DMResponseTimes for every
 // ctx, including nil.
 func DMResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.DMOptions) []Ticks {
-	if c == nil || len(streams) == 0 {
-		return core.DMResponseTimes(streams, tcycle, opts)
-	}
-	w := dmOptsWords(opts)
-	return cachedResponseTimes(ctx, c, KindDM, streams, tcycle, w[:], true,
-		func(ss []core.Stream) []Ticks { return core.DMResponseTimes(ss, tcycle, opts) })
+	var l lookups // fresh, so the result slice is the caller's own
+	defer l.release()
+	return l.dm(ctx, c, streams, tcycle, opts)
 }
 
 // EDFResponseTimes is core.EDFResponseTimes memoized on c.
@@ -108,12 +145,9 @@ func EDFResponseTimes(c *Cache, streams []core.Stream, tcycle Ticks, opts core.E
 // EDFResponseTimesCtx is EDFResponseTimes with observability threaded
 // through (see DMResponseTimesCtx).
 func EDFResponseTimesCtx(ctx context.Context, c *Cache, streams []core.Stream, tcycle Ticks, opts core.EDFOptions) []Ticks {
-	if c == nil || len(streams) == 0 {
-		return core.EDFResponseTimes(streams, tcycle, opts)
-	}
-	w := edfOptsWords(opts)
-	return cachedResponseTimes(ctx, c, KindEDF, streams, tcycle, w[:], false,
-		func(ss []core.Stream) []Ticks { return core.EDFResponseTimes(ss, tcycle, opts) })
+	var l lookups // fresh, so the result slice is the caller's own
+	defer l.release()
+	return l.edf(ctx, c, streams, tcycle, opts)
 }
 
 // DMSchedulable mirrors core.DMSchedulable with the per-master bounds
@@ -127,12 +161,14 @@ func DMSchedulable(c *Cache, n core.Network, opts core.DMOptions) (bool, []core.
 // DMSchedulableCtx is DMSchedulable with observability threaded
 // through (see DMResponseTimesCtx).
 func DMSchedulableCtx(ctx context.Context, c *Cache, n core.Network, opts core.DMOptions) (bool, []core.StreamVerdict) {
+	var l lookups
+	defer l.release()
 	return core.SchedulableWith(n, func(m core.Master, tc Ticks) []Ticks {
 		o := opts
 		if m.LongestLow > 0 {
 			o.BlockingFromLowPriority = true
 		}
-		return DMResponseTimesCtx(ctx, c, m.High, tc, o)
+		return l.dm(ctx, c, m.High, tc, o)
 	})
 }
 
@@ -145,11 +181,13 @@ func EDFSchedulableNet(c *Cache, n core.Network, opts core.EDFOptions) (bool, []
 // EDFSchedulableNetCtx is EDFSchedulableNet with observability
 // threaded through (see DMResponseTimesCtx).
 func EDFSchedulableNetCtx(ctx context.Context, c *Cache, n core.Network, opts core.EDFOptions) (bool, []core.StreamVerdict) {
+	var l lookups
+	defer l.release()
 	return core.SchedulableWith(n, func(m core.Master, tc Ticks) []Ticks {
 		o := opts
 		if m.LongestLow > 0 {
 			o.BlockingFromLowPriority = true
 		}
-		return EDFResponseTimesCtx(ctx, c, m.High, tc, o)
+		return l.edf(ctx, c, m.High, tc, o)
 	})
 }
